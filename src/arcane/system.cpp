@@ -96,8 +96,32 @@ void System::read_bytes(Addr addr, std::span<std::uint8_t> out) {
 Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
   const auto& m = cfg_.mem;
   if (addr >= m.data_base && addr + bytes <= m.data_base + m.data_bytes) {
-    return llc_->host_access(addr, bytes, /*is_write=*/false, out, now).complete_at;
+    Cycle done;
+    if (llc_->try_host_hit(addr, bytes, /*is_write=*/false, out, now, done)) {
+      return done;
+    }
+    return llc_->host_access(addr, bytes, /*is_write=*/false, out, now)
+        .complete_at;
   }
+  return uncached_read(addr, bytes, out, now);
+}
+
+Cycle System::write(Addr addr, unsigned bytes, const void* in, Cycle now) {
+  const auto& m = cfg_.mem;
+  if (addr >= m.data_base && addr + bytes <= m.data_base + m.data_bytes) {
+    Cycle done;
+    void* data = const_cast<void*>(in);
+    if (llc_->try_host_hit(addr, bytes, /*is_write=*/true, data, now, done)) {
+      return done;
+    }
+    return llc_->host_access(addr, bytes, /*is_write=*/true, data, now)
+        .complete_at;
+  }
+  return uncached_write(addr, bytes, now);
+}
+
+Cycle System::uncached_read(Addr addr, unsigned bytes, void* out, Cycle now) {
+  const auto& m = cfg_.mem;
   if (addr >= m.mmio_base && addr + bytes <= m.mmio_base + m.mmio_bytes) {
     events_.run_until(now);
     const std::uint32_t v = bridge_->mmio_read(addr - m.mmio_base);
@@ -107,12 +131,8 @@ Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
   throw Error("bus fault: read outside mapped regions");
 }
 
-Cycle System::write(Addr addr, unsigned bytes, const void* in, Cycle now) {
+Cycle System::uncached_write(Addr addr, unsigned bytes, Cycle now) {
   const auto& m = cfg_.mem;
-  if (addr >= m.data_base && addr + bytes <= m.data_base + m.data_bytes) {
-    return llc_->host_access(addr, bytes, /*is_write=*/true,
-                             const_cast<void*>(in), now).complete_at;
-  }
   if (addr >= m.mmio_base && addr + bytes <= m.mmio_base + m.mmio_bytes) {
     return now + 1;  // configuration writes are accepted and ignored
   }

@@ -145,6 +145,11 @@ class System final : public cpu::DataPort {
   Cycle write(Addr addr, unsigned bytes, const void* in, Cycle now) override;
 
  private:
+  /// MMIO and bus-fault paths, kept out of line so the cached data path
+  /// above stays small.
+  Cycle uncached_read(Addr addr, unsigned bytes, void* out, Cycle now);
+  Cycle uncached_write(Addr addr, unsigned bytes, Cycle now);
+
   SystemConfig cfg_;
   sim::EventQueue events_;
   telemetry::Registry metrics_;

@@ -367,6 +367,9 @@ struct SystemConfig {
             << static_cast<unsigned>(llc.replacement)
             << " (valid: approx-lru, true-lru, random, clock, lru-k, arc, "
                "car)");
+    ARCANE_CHECK(llc.lru_decay_period >= 1,
+                 "lru_decay_period must be at least 1 host access per "
+                 "approx-LRU age decay");
     ARCANE_CHECK(num_matrix_regs >= 3 && num_matrix_regs <= 256,
                  "matrix register count out of range");
     ARCANE_CHECK(kernel_queue_depth >= 1, "kernel queue too small");

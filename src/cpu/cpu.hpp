@@ -94,7 +94,6 @@ class HostCpu {
   void invalidate_decode_cache();
 
  private:
-  const isa::DecodedInst& fetch(Addr pc);
   bool xcvpulp() const { return cfg_.host_cpu == HostCpuKind::kCv32e40px; }
 
   SystemConfig cfg_;

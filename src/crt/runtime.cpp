@@ -246,6 +246,7 @@ void Runtime::try_start(Cycle t) {
       ++it;
     }
   }
+  sync_host_hook();
 
   const Cycle sched_start = std::max(t, ctx_.ecpu_free);
   ctx_.ecpu_free = sched_start + ctx_.costs.schedule;
@@ -323,6 +324,7 @@ void Runtime::on_kernel_finish(KernelExecutor&, FinishedKernel fin, Cycle t) {
         ++ctx_.phases.full_elisions;
       }
       residents_.push_back(r);
+      sync_host_hook();
       kept_resident = true;
     }
   }
@@ -365,10 +367,14 @@ void Runtime::drop_residents_on_vpu(unsigned vpu, Cycle) {
       ++it;
     }
   }
+  sync_host_hook();
+}
+
+void Runtime::sync_host_hook() {
+  ctx_.llc->set_host_hook_armed(!residents_.empty());
 }
 
 void Runtime::on_host_access(Addr addr, unsigned len, bool is_write) {
-  if (residents_.empty()) return;
   for (auto it = residents_.begin(); it != residents_.end();) {
     if (addr < it->hi && it->lo < addr + len) {
       if (it->deferred_at_entry >= 0) materialize(*it);
@@ -381,6 +387,7 @@ void Runtime::on_host_access(Addr addr, unsigned len, bool is_write) {
     }
     ++it;
   }
+  sync_host_hook();
 }
 
 void Runtime::materialize(Resident& r) {

@@ -124,7 +124,9 @@ class Runtime final : public KernelExecutor::Client {
   std::vector<unsigned> assign_vpus(const KernelOp& op, unsigned count);
 
   const Resident* find_resident(const DmaXfer& x) const;
+  /// Host hook, armed on the LLC exactly while residents_ is non-empty.
   void on_host_access(Addr addr, unsigned len, bool is_write);
+  void sync_host_hook();
   /// Write an elided (never materialized) resident back to memory and
   /// release its deferred AT entry.
   void materialize(Resident& r);

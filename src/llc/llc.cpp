@@ -1,6 +1,7 @@
 #include "llc/llc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/log.hpp"
@@ -16,9 +17,16 @@ Llc::Llc(const SystemConfig& cfg, sim::EventQueue& events,
       dma_(&dma),
       storage_(&storage),
       line_bytes_(cfg.llc.line_bytes()),
+      line_shift_(static_cast<unsigned>(std::countr_zero(line_bytes_))),
       lines_(cfg.llc.num_lines()),
+      line_data_(storage.line(0).data()),
+      dir_(cfg.mem.data_bytes >> line_shift_, kNoLine),
       policy_(make_replacement_strategy(cfg.llc, lines_)) {
-  tag_to_line_.reserve(lines_.size() * 2);
+  ARCANE_CHECK(lines_.size() < kNoLine, "too many cache lines");
+  ARCANE_CHECK(storage.line_bytes() == line_bytes_ &&
+                   storage.num_lines() == lines_.size(),
+               "line storage does not match the LLC geometry");
+  approx_lru_ = dynamic_cast<ApproxLruStrategy*>(policy_.get());
 }
 
 void Llc::register_metrics(telemetry::Registry& reg) {
@@ -43,18 +51,6 @@ void Llc::register_metrics(telemetry::Registry& reg) {
            [this] { return stats_.stalls.dma_contention; });
 }
 
-int Llc::lookup(Addr base) const {
-  const Line& m = lines_[mru_idx_];
-  if (m.tag == base &&
-      (m.state == LineState::kClean || m.state == LineState::kDirty)) {
-    return static_cast<int>(mru_idx_);
-  }
-  const auto it = tag_to_line_.find(base);
-  if (it == tag_to_line_.end()) return -1;
-  mru_idx_ = it->second;
-  return static_cast<int>(it->second);
-}
-
 int Llc::find_victim(Addr incoming) {
   // Pass 1: any invalid line — free capacity beats any policy decision.
   for (unsigned i = 0; i < lines_.size(); ++i) {
@@ -74,7 +70,7 @@ std::uint32_t Llc::evict(unsigned idx) {
       ext_bytes = line_bytes_;
       ++stats_.writebacks;
     }
-    tag_to_line_.erase(l.tag);
+    dir_slot(l.tag) = kNoLine;
     ++stats_.evictions;
   }
   l.state = LineState::kInvalid;
@@ -109,7 +105,7 @@ Cycle Llc::refill(Addr base, Cycle t, Cycle& dma_wait) {
   l.state = LineState::kClean;
   l.tag = base;
   l.owner_uid = 0;
-  tag_to_line_[base] = static_cast<unsigned>(victim);
+  dir_slot(base) = static_cast<std::uint16_t>(victim);
   policy_->fill(static_cast<unsigned>(victim), base);
   ext_->read(base, storage_->line(static_cast<unsigned>(victim)).data(),
              line_bytes_);
@@ -164,7 +160,7 @@ Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
   }
   // Pre-resolution hook: lets the C-RT materialize deferred (elided)
   // write-backs whose AT entries would otherwise block this access forever.
-  if (on_host_access) on_host_access(addr, bytes, is_write);
+  if (host_hook_armed_) on_host_access(addr, bytes, is_write);
 
   Cycle t = now;
   if (locked_until_ > t || at_.any_active() || !events_->empty()) {
@@ -173,7 +169,7 @@ Llc::HostResult Llc::host_access(Addr addr, unsigned bytes, bool is_write,
   // Post-resolution hook: kernels that completed *during* the stall drain
   // may have left forwarding residents; a write must invalidate them before
   // the data lands.
-  if (on_host_access) on_host_access(addr, bytes, is_write);
+  if (host_hook_armed_) on_host_access(addr, bytes, is_write);
 
   const Addr base = line_base(addr);
   int idx = lookup(base);
@@ -317,7 +313,7 @@ dma::TransferCost Llc::write_range(Addr addr,
       Line& l = lines_[victim];
       l.state = LineState::kClean;
       l.tag = base;
-      tag_to_line_[base] = static_cast<unsigned>(victim);
+      dir_slot(base) = static_cast<std::uint16_t>(victim);
       policy_->fill(static_cast<unsigned>(victim), base);
       if (chunk != line_bytes_) {
         ext_->read(base, storage_->line(victim).data(), line_bytes_);
@@ -389,9 +385,11 @@ void Llc::flush_all() {
 void Llc::invalidate_all() {
   flush_all();
   for (Line& l : lines_) {
-    if (l.state == LineState::kClean) l = Line{};
+    if (l.state == LineState::kClean) {
+      dir_slot(l.tag) = kNoLine;
+      l = Line{};
+    }
   }
-  tag_to_line_.clear();
   // Adaptive strategies drop their resident/ghost directories; the legacy
   // strategies keep their counters, matching the pre-strategy controller.
   policy_->reset();

@@ -20,10 +20,10 @@
 #ifndef ARCANE_LLC_LLC_HPP_
 #define ARCANE_LLC_LLC_HPP_
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hpp"
@@ -54,6 +54,43 @@ class Llc {
   /// Aligned access of 1/2/4 bytes. Reads fill `data`, writes consume it.
   HostResult host_access(Addr addr, unsigned bytes, bool is_write,
                          void* data, Cycle now);
+  /// O(1) host-hit fast path with host_access's exact semantics. It applies
+  /// only when no host hook is armed, the lock is free at `now`, no AT entry
+  /// is active, no event is pending and the directory holds the line; then
+  /// it completes the hit and returns true. Otherwise (including malformed
+  /// accesses, which host_access rejects) it changes nothing and returns
+  /// false, and the caller falls through to host_access.
+  bool try_host_hit(Addr addr, unsigned bytes, bool is_write, void* data,
+                    Cycle now, Cycle& complete_at) {
+    if (host_hook_armed_ || locked_until_ > now || at_.any_active() ||
+        !events_->empty() || bytes - 1 > 3 ||
+        (addr & (line_bytes_ - 1)) + bytes > line_bytes_) {
+      return false;
+    }
+    const Addr base = line_base(addr);
+    const int idx = lookup(base);
+    if (idx < 0) return false;
+    const auto i = static_cast<unsigned>(idx);
+    if (approx_lru_ != nullptr) {
+      approx_lru_->host_tick();
+      approx_lru_->touch(i, base);
+    } else {
+      policy_->host_tick();
+      policy_->touch(i, base);
+    }
+    ++stats_.hits;
+    std::uint8_t* p = line_data_ + (i << line_shift_) + (addr - base);
+    if (is_write) {
+      ++stats_.writes;
+      std::memcpy(p, data, bytes);
+      lines_[i].state = LineState::kDirty;
+    } else {
+      ++stats_.reads;
+      std::memcpy(data, p, bytes);
+    }
+    complete_at = now + cfg_.llc.hit_latency;
+    return true;
+  }
 
   // --------------------- controller lock (allocator) -----------------
   void lock_until(Cycle t);
@@ -100,14 +137,33 @@ class Llc {
   /// Bind this controller's CacheStats fields as `llc.*` registry views.
   void register_metrics(telemetry::Registry& reg);
 
-  /// Invoked on every host access *before* hazard resolution (used by the
-  /// C-RT to invalidate or lazily materialize forwarded/resident kernel
-  /// results kept in VPU registers).
+  /// Invoked on host accesses before and after hazard resolution while
+  /// armed (used by the C-RT to invalidate or lazily materialize
+  /// forwarded/resident kernel results kept in VPU registers).
   std::function<void(Addr, unsigned, bool is_write)> on_host_access;
+  /// Arm or disarm on_host_access. The C-RT arms it exactly while it holds
+  /// residents, the only state the hook acts on; disarmed, host accesses
+  /// skip it and may take the try_host_hit fast path.
+  void set_host_hook_armed(bool armed) { host_hook_armed_ = armed; }
+  bool host_hook_armed() const { return host_hook_armed_; }
 
  private:
+  static constexpr std::uint16_t kNoLine = 0xFFFF;
+
   Addr line_base(Addr addr) const { return addr & ~(line_bytes_ - 1); }
-  int lookup(Addr base) const;
+  /// Line holding `base` (Clean/Dirty), or -1.
+  int lookup(Addr base) const {
+    const Addr off = base - cfg_.mem.data_base;
+    if (off >= cfg_.mem.data_bytes) return -1;
+    const std::uint16_t idx = dir_[off >> line_shift_];
+    return idx == kNoLine ? -1 : static_cast<int>(idx);
+  }
+  std::uint16_t& dir_slot(Addr base) {
+    const Addr off = base - cfg_.mem.data_base;
+    ARCANE_ASSERT(off < cfg_.mem.data_bytes,
+                  "line 0x" << std::hex << base << " outside the data region");
+    return dir_[off >> line_shift_];
+  }
   /// Pick a victim for the incoming line base among non-busy lines:
   /// recycles any Invalid line first, then delegates the replacement
   /// decision to the configured strategy; -1 when every line is busy.
@@ -127,17 +183,20 @@ class Llc {
   vpu::LineStorage* storage_;
 
   std::uint32_t line_bytes_;
+  unsigned line_shift_;  // log2(line_bytes_)
   std::vector<Line> lines_;
-  std::unordered_map<Addr, unsigned> tag_to_line_;
-  /// 1-entry MRU lookup cache. Self-validating: the hit predicate (tag
-  /// matches AND the line is Clean/Dirty) is exactly the invariant under
-  /// which tag_to_line_ holds the entry, so eviction/claiming needs no
-  /// explicit invalidation here. Streaming kernels hit it on nearly every
-  /// sequential host access, skipping the hash probe.
-  mutable unsigned mru_idx_ = 0;
+  std::uint8_t* line_data_;  // storage_'s line array (line i at i << shift)
+  /// Line directory: one entry per line-sized block of the data region,
+  /// holding the index of the Clean/Dirty line caching that block or
+  /// kNoLine. Busy and Invalid lines never appear in it.
+  std::vector<std::uint16_t> dir_;
   /// Replacement bookkeeping (victim ranking, recency/ghost state) lives in
   /// the strategy; the controller only reports touch/fill/evict events.
   std::unique_ptr<ReplacementStrategy> policy_;
+  /// policy_ when it is the default approx-LRU (direct calls on the fast
+  /// path), else nullptr.
+  ApproxLruStrategy* approx_lru_ = nullptr;
+  bool host_hook_armed_ = false;
   AddressTable at_;
   Cycle locked_until_ = 0;
   telemetry::SpanTracer* spans_ = nullptr;

@@ -3,7 +3,8 @@
 //
 // Legacy family — bit-identical to the pre-strategy controller, including
 // the shared age/lru_seq bookkeeping written into the Line array:
-//   * approx-lru  per-line 8-bit ages, periodic decay (the paper's policy)
+//   * approx-lru  per-line 8-bit ages, periodic (lazy) decay (the paper's
+//                 policy; declared in replacement.hpp)
 //   * true-lru    exact LRU stack ordering via a 64-bit sequence counter
 //   * random      deterministic xorshift32 over the evictable candidates
 //
@@ -40,58 +41,6 @@ bool resident(const Line& l) {
 // ------------------------------------------------------------------
 // Legacy family
 // ------------------------------------------------------------------
-
-/// Shared recency bookkeeping of the pre-strategy controller: every touch
-/// stamps both the approximate age and the exact LRU sequence, whichever
-/// policy is active, so introspection (Llc::line) stays unchanged.
-class LegacyStrategy : public ReplacementStrategy {
- public:
-  explicit LegacyStrategy(std::vector<Line>& lines) : lines_(lines) {}
-
-  void touch(unsigned idx, Addr) override {
-    lines_[idx].age = 255;
-    lines_[idx].lru_seq = ++lru_counter_;
-  }
-  void fill(unsigned idx, Addr base) override { touch(idx, base); }
-  // Counters deliberately survive reset(): invalidate_all never rewound
-  // them in the pre-strategy controller.
-
- protected:
-  std::vector<Line>& lines_;
-  std::uint64_t lru_counter_ = 0;
-};
-
-class ApproxLruStrategy final : public LegacyStrategy {
- public:
-  ApproxLruStrategy(std::vector<Line>& lines, unsigned decay_period)
-      : LegacyStrategy(lines), decay_period_(decay_period) {}
-
-  void host_tick() override {
-    if (++access_count_ % decay_period_ == 0) {
-      for (Line& l : lines_) {
-        if (l.age > 0) --l.age;
-      }
-    }
-  }
-
-  int find_victim(Addr) override {
-    int best = -1;
-    unsigned best_age = 256;
-    for (unsigned i = 0; i < lines_.size(); ++i) {
-      const Line& l = lines_[i];
-      if (l.state == LineState::kBusy) continue;
-      if (l.age < best_age) {
-        best_age = l.age;
-        best = static_cast<int>(i);
-      }
-    }
-    return best;
-  }
-
- private:
-  unsigned decay_period_;
-  std::uint64_t access_count_ = 0;
-};
 
 class TrueLruStrategy final : public LegacyStrategy {
  public:
@@ -660,6 +609,20 @@ class CarStrategy final : public GhostedStrategy {
 };
 
 }  // namespace
+
+int ApproxLruStrategy::find_victim(Addr) {
+  int best = -1;
+  unsigned best_age = 256;
+  for (unsigned i = 0; i < lines_.size(); ++i) {
+    if (lines_[i].state == LineState::kBusy) continue;
+    const unsigned a = age(i);
+    if (a < best_age) {
+      best_age = a;
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
 
 std::unique_ptr<ReplacementStrategy> make_replacement_strategy(
     const LlcConfig& cfg, std::vector<Line>& lines) {

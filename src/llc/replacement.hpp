@@ -5,7 +5,7 @@
 //
 // Contract between Llc and a strategy:
 //  * host_tick()     — once per host-port access, before lookup (drives the
-//                      approximate-LRU decay clock; others ignore it).
+//                      approximate-LRU decay epoch; others ignore it).
 //  * touch(idx, a)   — resident line `idx` holding tag `a` was hit by the
 //                      host port. Never called for Busy or Invalid lines.
 //  * fill(idx, a)    — line `idx` was just installed with tag `a` (miss
@@ -57,6 +57,71 @@ class ReplacementStrategy {
   virtual void evict(unsigned /*idx*/, Addr /*base*/) {}
   virtual int find_victim(Addr incoming) = 0;
   virtual void reset() {}
+};
+
+/// Shared recency bookkeeping of the pre-strategy controller: every touch
+/// stamps both the approximate age and the exact LRU sequence, whichever
+/// legacy policy is active, so introspection (Llc::line) stays unchanged.
+class LegacyStrategy : public ReplacementStrategy {
+ public:
+  explicit LegacyStrategy(std::vector<Line>& lines) : lines_(lines) {}
+
+  void touch(unsigned idx, Addr) override {
+    lines_[idx].age = 255;
+    lines_[idx].lru_seq = ++lru_counter_;
+  }
+  void fill(unsigned idx, Addr base) override { touch(idx, base); }
+  // Counters deliberately survive reset(): invalidate_all never rewound
+  // them in the pre-strategy controller.
+
+ protected:
+  std::vector<Line>& lines_;
+  std::uint64_t lru_counter_ = 0;
+};
+
+/// The paper's counter-based approximate LRU: a hit sets the line's 8-bit
+/// age to 255, every `decay_period` host accesses all ages decay by one,
+/// and the victim is the lowest-age non-Busy line (lowest index on ties).
+///
+/// The decay is lazy. An epoch counter advances once per decay period and
+/// every touch stamps its line with the current epoch, so Line::age holds
+/// the age at the last stamp and the effective age is
+/// sat(age - (epoch - stamp)). Ages the controller zeroes without a stamp
+/// (evict, release) stay 0 under any stamp. The victim stream is identical
+/// to an eager O(lines) sweep per decay. Declared here (final, inline hot
+/// members) so the controller's host-hit fast path calls it directly.
+class ApproxLruStrategy final : public LegacyStrategy {
+ public:
+  ApproxLruStrategy(std::vector<Line>& lines, unsigned decay_period)
+      : LegacyStrategy(lines),
+        decay_period_(decay_period),
+        stamp_(lines.size(), 0) {}
+
+  void host_tick() override {
+    if (++since_decay_ == decay_period_) {
+      since_decay_ = 0;
+      ++epoch_;
+    }
+  }
+  void touch(unsigned idx, Addr base) override {
+    LegacyStrategy::touch(idx, base);
+    stamp_[idx] = epoch_;
+  }
+  void fill(unsigned idx, Addr base) override { touch(idx, base); }
+  int find_victim(Addr incoming) override;
+
+  /// Effective (decayed) age of line `idx`.
+  unsigned age(unsigned idx) const {
+    const std::uint64_t decays = epoch_ - stamp_[idx];
+    const unsigned stamped = lines_[idx].age;
+    return decays >= stamped ? 0u : stamped - static_cast<unsigned>(decays);
+  }
+
+ private:
+  unsigned decay_period_;
+  unsigned since_decay_ = 0;  // host accesses since the last decay
+  std::uint64_t epoch_ = 0;   // decays so far
+  std::vector<std::uint64_t> stamp_;  // epoch of each line's last touch
 };
 
 /// Builds the strategy selected by `cfg.replacement`. `lines` is the

@@ -7,6 +7,7 @@
 #include "mem/main_memory.hpp"
 #include "sim/event_queue.hpp"
 #include "vpu/line_storage.hpp"
+#include "workloads/tensors.hpp"
 
 namespace arcane::llc {
 namespace {
@@ -255,6 +256,97 @@ TEST(CacheTest, ReplacementPolicyRandomIsDeterministic) {
     return llc.stats().writebacks;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(CacheTest, FastHitPathMatchesHostAccess) {
+  // Twin controllers replay one stream: `fast` tries try_host_hit before
+  // host_access, `slow` always takes host_access. Controller locks, AT
+  // destination ranges, pending events and busy lines make the fast path
+  // decline part of the time; timing, data and every piece of controller
+  // state must stay identical.
+  Fixture fast, slow;
+  workloads::Rng rng(0xFA57);
+  const std::uint32_t line = fast.cfg.llc.line_bytes();
+  const auto span = static_cast<std::int64_t>(3 * fast.llc.num_lines());
+  const unsigned vregs = fast.cfg.llc.vpu.num_vregs;
+  std::uint64_t claimed_uid = 0;
+  Cycle t = 0;
+  for (int i = 0; i < 30000; ++i) {
+    t += static_cast<Cycle>(rng.uniform(0, 3));
+    const auto roll = rng.uniform(0, 99);
+    if (roll < 2) {
+      const Cycle until = t + static_cast<Cycle>(rng.uniform(1, 40));
+      fast.llc.lock_until(until);
+      slow.llc.lock_until(until);
+    } else if (roll < 3 && !fast.llc.at().any_active()) {
+      // A pending kernel destination, released by an event at its free time.
+      const Addr lo = fast.base() + static_cast<Addr>(rng.uniform(0, span)) * line;
+      const Cycle free_at = t + 30;
+      for (Fixture* fx : {&fast, &slow}) {
+        const unsigned e = fx->llc.at().register_range(lo, lo + 2 * line,
+                                                       /*is_dest=*/true, 1);
+        fx->llc.at().set_free_time(e, free_at);
+        fx->events.schedule(free_at, [fx, e] { fx->llc.at().release(e); });
+      }
+    } else if (roll < 4) {
+      const Cycle when = t + static_cast<Cycle>(rng.uniform(1, 20));
+      fast.events.schedule(when, [] {});
+      slow.events.schedule(when, [] {});
+    } else if (roll < 5) {
+      if (claimed_uid != 0) {
+        fast.llc.release_kernel_lines(claimed_uid);
+        slow.llc.release_kernel_lines(claimed_uid);
+      }
+      claimed_uid = static_cast<std::uint64_t>(i) + 1;
+      for (unsigned r = 0; r < 4; ++r) {
+        const unsigned vpu = static_cast<unsigned>(rng.uniform(0, 3));
+        const unsigned vreg = static_cast<unsigned>(rng.uniform(0, vregs - 1));
+        if (fast.llc.line_is_busy(vpu, vreg)) continue;
+        fast.llc.claim_line(vpu, vreg, claimed_uid);
+        slow.llc.claim_line(vpu, vreg, claimed_uid);
+      }
+    } else {
+      const unsigned bytes = 1u << rng.uniform(0, 2);
+      const Addr addr = fast.base() +
+                        static_cast<Addr>(rng.uniform(0, span)) * line +
+                        static_cast<Addr>(rng.uniform(0, line / bytes - 1)) *
+                            bytes;
+      const bool is_write = rng.uniform(0, 3) == 0;
+      std::uint32_t fv = static_cast<std::uint32_t>(rng.next());
+      std::uint32_t sv = fv;
+      Cycle fdone = 0;
+      if (!fast.llc.try_host_hit(addr, bytes, is_write, &fv, t, fdone)) {
+        fdone = fast.llc.host_access(addr, bytes, is_write, &fv, t).complete_at;
+      }
+      const Cycle sdone =
+          slow.llc.host_access(addr, bytes, is_write, &sv, t).complete_at;
+      ASSERT_EQ(fdone, sdone) << "access " << i;
+      ASSERT_EQ(fv, sv) << "access " << i;
+      t = sdone;
+    }
+  }
+  const auto& fs = fast.llc.stats();
+  const auto& ss = slow.llc.stats();
+  EXPECT_GT(fs.hits, 0u);
+  EXPECT_GT(ss.stalls.lock + ss.stalls.at_dest, 0u);
+  EXPECT_EQ(fs.reads, ss.reads);
+  EXPECT_EQ(fs.writes, ss.writes);
+  EXPECT_EQ(fs.hits, ss.hits);
+  EXPECT_EQ(fs.misses, ss.misses);
+  EXPECT_EQ(fs.evictions, ss.evictions);
+  EXPECT_EQ(fs.writebacks, ss.writebacks);
+  EXPECT_EQ(fs.stalls.lock, ss.stalls.lock);
+  EXPECT_EQ(fs.stalls.at_dest, ss.stalls.at_dest);
+  EXPECT_EQ(fs.stalls.miss, ss.stalls.miss);
+  EXPECT_EQ(fs.stalls.dma_contention, ss.stalls.dma_contention);
+  for (unsigned i = 0; i < fast.llc.num_lines(); ++i) {
+    const Line& a = fast.llc.line(i);
+    const Line& b = slow.llc.line(i);
+    EXPECT_EQ(a.state, b.state) << "line " << i;
+    EXPECT_EQ(a.tag, b.tag) << "line " << i;
+    EXPECT_EQ(a.age, b.age) << "line " << i;
+    EXPECT_EQ(a.lru_seq, b.lru_seq) << "line " << i;
+  }
 }
 
 }  // namespace

@@ -324,5 +324,156 @@ TEST(CpuTest, DeterministicCycleCounts) {
   EXPECT_EQ(once(), once());
 }
 
+// ---------------------------------------------------------------------
+// Chunked-run equivalence: running a program as run(k) slices must be
+// indistinguishable from one run(), for every exit the ISS can take.
+// ---------------------------------------------------------------------
+
+/// Everything a finished run exposes.
+struct RunObservation {
+  cpu::HostCpu::RunResult result;
+  Addr pc = 0;
+  Cycle time = 0;
+  std::vector<std::uint64_t> stats;
+  std::vector<std::uint8_t> csr_log;
+  std::uint64_t llc_hits = 0, llc_misses = 0;
+};
+
+constexpr Addr kCsrLogOffset = 0x100;
+constexpr std::uint32_t kCsrLogBytes = 4096;
+
+RunObservation run_in_slices(const SystemConfig& cfg,
+                             const std::vector<std::uint32_t>& words,
+                             std::uint64_t slice) {
+  System sys(cfg);
+  sys.load_program(words);
+  RunObservation o;
+  do {
+    o.result = sys.host().run(slice);
+  } while (o.result.reason == cpu::HaltReason::kMaxInstructions);
+  o.pc = sys.host().pc();
+  o.time = sys.host().time();
+  const sim::CpuStats& s = sys.host().stats();
+  o.stats = {s.instructions,    s.compressed_instructions,
+             s.loads,           s.stores,
+             s.branches,        s.taken_branches,
+             s.mul_div,         s.simd_ops,
+             s.hw_loop_iterations, s.offloads,
+             s.cycles,          s.stall_cycles};
+  o.csr_log.resize(kCsrLogBytes);
+  sys.read_bytes(sys.data_base() + kCsrLogOffset, o.csr_log);
+  o.llc_hits = sys.llc().stats().hits;
+  o.llc_misses = sys.llc().stats().misses;
+  return o;
+}
+
+/// A loop that logs mcycle/minstret every iteration, mixes hits and misses
+/// (36-byte stride), multiplies and runs two compressed c.nop, then ends
+/// in `tail` (ecall, a bus fault or an illegal instruction).
+std::vector<std::uint32_t> logging_loop(Addr data_base,
+                                        void (*tail)(Assembler&)) {
+  Assembler a;
+  a.li(Reg::kT0, static_cast<std::int32_t>(data_base + kCsrLogOffset));
+  a.li(Reg::kT1, static_cast<std::int32_t>(data_base + 0x4000));
+  a.li(Reg::kA1, 200);
+  auto loop = a.here();
+  a.csrr(Reg::kT2, isa::kCsrMcycle);
+  a.sw(Reg::kT2, Reg::kT0, 0);
+  a.csrr(Reg::kT2, isa::kCsrMinstret);
+  a.sw(Reg::kT2, Reg::kT0, 4);
+  a.addi(Reg::kT0, Reg::kT0, 8);
+  a.lw(Reg::kA2, Reg::kT1, 0);
+  a.add(Reg::kA0, Reg::kA0, Reg::kA2);
+  a.addi(Reg::kA0, Reg::kA0, 3);
+  a.sw(Reg::kA0, Reg::kT1, 0);
+  a.addi(Reg::kT1, Reg::kT1, 36);
+  a.mul(Reg::kA3, Reg::kA0, Reg::kA1);
+  a.word(0x00010001u);  // c.nop; c.nop
+  a.addi(Reg::kA1, Reg::kA1, -1);
+  a.bnez(Reg::kA1, loop);
+  tail(a);
+  return a.finish();
+}
+
+void expect_chunked_equivalence(const SystemConfig& cfg,
+                                const std::vector<std::uint32_t>& words,
+                                cpu::HaltReason want) {
+  const RunObservation whole = run_in_slices(cfg, words, ~0ull);
+  ASSERT_EQ(whole.result.reason, want);
+  EXPECT_EQ(whole.stats[0], whole.result.instructions);  // == instret
+  EXPECT_EQ(whole.time, whole.result.cycles);
+  EXPECT_EQ(whole.pc, whole.result.pc);
+  for (std::uint64_t k : {1ull, 3ull, 64ull}) {
+    const RunObservation got = run_in_slices(cfg, words, k);
+    EXPECT_EQ(got.result.reason, whole.result.reason) << "slice " << k;
+    EXPECT_EQ(got.result.cycles, whole.result.cycles) << "slice " << k;
+    EXPECT_EQ(got.result.instructions, whole.result.instructions)
+        << "slice " << k;
+    EXPECT_EQ(got.result.exit_code, whole.result.exit_code) << "slice " << k;
+    EXPECT_EQ(got.result.pc, whole.result.pc) << "slice " << k;
+    EXPECT_EQ(got.pc, whole.pc) << "slice " << k;
+    EXPECT_EQ(got.time, whole.time) << "slice " << k;
+    EXPECT_EQ(got.stats, whole.stats) << "slice " << k;
+    EXPECT_EQ(got.csr_log, whole.csr_log) << "slice " << k;
+    EXPECT_EQ(got.llc_hits, whole.llc_hits) << "slice " << k;
+    EXPECT_EQ(got.llc_misses, whole.llc_misses) << "slice " << k;
+  }
+}
+
+TEST(CpuChunkedRunTest, EcallExit) {
+  const SystemConfig cfg = SystemConfig::paper(4);
+  expect_chunked_equivalence(
+      cfg, logging_loop(cfg.mem.data_base, [](Assembler& a) { a.ecall(); }),
+      cpu::HaltReason::kEcall);
+}
+
+TEST(CpuChunkedRunTest, BusFaultExit) {
+  const SystemConfig cfg = SystemConfig::paper(4);
+  expect_chunked_equivalence(cfg,
+                             logging_loop(cfg.mem.data_base,
+                                          [](Assembler& a) {
+                                            a.li(Reg::kT3, 0x7000'0000);
+                                            a.lw(Reg::kA0, Reg::kT3, 0);
+                                            a.ecall();
+                                          }),
+                             cpu::HaltReason::kBusFault);
+}
+
+TEST(CpuChunkedRunTest, IllegalInstructionExit) {
+  const SystemConfig cfg = SystemConfig::paper(4);
+  expect_chunked_equivalence(cfg,
+                             logging_loop(cfg.mem.data_base,
+                                          [](Assembler& a) {
+                                            a.word(0xFFFFFFFFu);
+                                            a.ecall();
+                                          }),
+                             cpu::HaltReason::kIllegalInstruction);
+}
+
+TEST(CpuChunkedRunTest, XcvpulpHardwareLoopsAcrossSlices) {
+  // Slices end inside nested hardware loops and between a post-increment
+  // load and its use.
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.host_cpu = HostCpuKind::kCv32e40px;
+  Assembler a;
+  a.li(Reg::kT2, static_cast<std::int32_t>(cfg.mem.data_base + 0x4000));
+  a.li(Reg::kT0, 9);
+  a.li(Reg::kT1, 7);
+  auto outer_end = a.label();
+  a.cv_setup(1, Reg::kT0, outer_end);
+  {
+    auto inner_end = a.label();
+    a.cv_setup(0, Reg::kT1, inner_end);
+    a.cv_lw_post(Reg::kA2, Reg::kT2, 20);
+    a.pv_sdotsp_b(Reg::kA0, Reg::kA2, Reg::kT2);
+    a.bind(inner_end);
+    a.csrr(Reg::kA3, isa::kCsrMinstret);
+    a.add(Reg::kA0, Reg::kA0, Reg::kA3);
+  }
+  a.bind(outer_end);
+  a.ecall();
+  expect_chunked_equivalence(cfg, a.finish(), cpu::HaltReason::kEcall);
+}
+
 }  // namespace
 }  // namespace arcane

@@ -197,5 +197,54 @@ TEST(ElisionTest, ForwardingDisabledStillCorrect) {
   EXPECT_EQ(workloads::count_mismatches(got, want), 0u);
 }
 
+TEST(ElisionTest, LiveResidentForcesHostAccessOntoHookPath) {
+  // A forwarding resident arms the C-RT host hook, so host accesses skip
+  // the LLC's fast hit path even when their line is cached. A host write
+  // into the resident's range drops it (releasing its register lines),
+  // which disarms the hook and reopens the fast path.
+  ChainSetup s;
+  System sys(SystemConfig::paper(4));
+  const Addr x = sys.data_base() + 0x1000;
+  const Addr f = sys.data_base() + 0x10000;
+  const Addr mid = sys.data_base() + 0x20000;
+  workloads::store_matrix(sys, x, s.X);
+  workloads::store_matrix(sys, f, s.F);
+  XProgram prog;
+  prog.xmr(0, x, s.X.shape(), ElemType::kWord);
+  prog.xmr(1, f, s.F.shape(), ElemType::kWord);
+  prog.xmr(2, mid, MatShape{12, 14, 14}, ElemType::kWord);
+  prog.conv2d(2, 0, 1, ElemType::kWord);
+  prog.sync_read(mid);
+  prog.halt();
+  sys.load_program(prog.finish());
+  sys.run();
+
+  auto busy_lines = [&] {
+    unsigned n = 0;
+    for (unsigned v = 0; v < sys.config().llc.num_vpus; ++v) {
+      n += sys.llc().busy_lines_in_vpu(v);
+    }
+    return n;
+  };
+  ASSERT_TRUE(sys.llc().host_hook_armed());
+  ASSERT_GT(busy_lines(), 0u);  // the resident's register lines
+  Cycle t = sys.host().time() + 1;
+  std::uint32_t v = 0;
+  Cycle done = 0;
+  EXPECT_FALSE(sys.llc().try_host_hit(mid, 4, false, &v, t, done));
+  t = sys.read(mid, 4, &v, t);  // a read leaves the resident in place
+  EXPECT_TRUE(sys.llc().host_hook_armed());
+
+  const std::uint64_t misses = sys.llc().stats().misses;
+  const std::uint32_t w = 0x1234'5678u;
+  t = sys.write(mid, 4, &w, t);
+  EXPECT_EQ(sys.llc().stats().misses, misses);  // the line was cached
+  EXPECT_FALSE(sys.llc().host_hook_armed());
+  EXPECT_EQ(busy_lines(), 0u);
+  ASSERT_TRUE(sys.llc().try_host_hit(mid, 4, false, &v, t, done));
+  EXPECT_EQ(v, w);
+  EXPECT_EQ(done, t + sys.config().llc.hit_latency);
+}
+
 }  // namespace
 }  // namespace arcane

@@ -8,6 +8,9 @@
 // victim choice. A model/implementation divergence pinpoints the first
 // differing access.
 //
+// Approx-LRU is also replayed with interleaved kernel traffic (line
+// claims, releases and fetch-on-write fills) against an eager-decay model.
+//
 // Also here: scenario regression tests pinning hit-rate orderings and
 // golden hit counts (ARC >= LRU after a hot-set shift, LRU-K scan
 // resistance, CLOCK ~ approx-LRU on uniform random), and negative tests
@@ -461,8 +464,11 @@ std::unique_ptr<RefModel> make_model(ReplacementPolicy pol,
 // =====================================================================
 
 struct Rig {
-  explicit Rig(ReplacementPolicy pol) : cfg(SystemConfig::paper(4)) {
+  explicit Rig(ReplacementPolicy pol,
+               unsigned lru_decay_period = LlcConfig{}.lru_decay_period)
+      : cfg(SystemConfig::paper(4)) {
     cfg.llc.replacement = pol;
+    cfg.llc.lru_decay_period = lru_decay_period;
     ext = std::make_unique<mem::MainMemory>(cfg.mem.data_base,
                                             cfg.mem.data_bytes, cfg.mem);
     storage = std::make_unique<vpu::LineStorage>(cfg.llc);
@@ -564,6 +570,158 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// =====================================================================
+// Approx-LRU with kernel traffic. claim_line, release_kernel_lines and
+// write_range fetch-on-write fills set ages without a host tick, which is
+// where a lazily decayed age is easiest to get wrong. The model applies
+// every decay eagerly, as an O(frames) sweep.
+// =====================================================================
+
+class RefApproxLruKernel {
+ public:
+  RefApproxLruKernel(unsigned n, unsigned decay_period)
+      : tags_(n, kNone), ages_(n, 0), owner_(n, 0), n_(n),
+        decay_period_(decay_period) {}
+
+  /// Host read of line `x`: tick the decay clock, then hit or install.
+  Step host(Addr x) {
+    if (++accesses_ % decay_period_ == 0) {
+      for (auto& a : ages_) {
+        if (a > 0) --a;
+      }
+    }
+    int f = lookup(x);
+    const bool hit = f >= 0;
+    if (!hit) f = install(x);
+    ages_[f] = 255;
+    return {hit, f};
+  }
+  /// Fetch-on-write fill by a kernel write-back: no tick, and a hit leaves
+  /// the recency untouched.
+  int kernel_fill(Addr x) {
+    int f = lookup(x);
+    if (f < 0) {
+      f = install(x);
+      ages_[f] = 255;
+    }
+    return f;
+  }
+  /// Pin the non-busy frame `f` for kernel `uid` (evicting its content).
+  void claim(unsigned f, std::uint64_t uid) {
+    tags_[f] = kNone;
+    ages_[f] = 0;
+    owner_[f] = uid;
+  }
+  void release(std::uint64_t uid) {
+    for (unsigned f = 0; f < n_; ++f) {
+      if (owner_[f] == uid) {
+        owner_[f] = 0;
+        ages_[f] = 0;
+      }
+    }
+  }
+  Addr tag(unsigned f) const { return tags_[f]; }
+  bool busy(unsigned f) const { return owner_[f] != 0; }
+
+  static constexpr Addr kNone = ~Addr{0};
+
+ private:
+  int lookup(Addr x) const {
+    for (unsigned f = 0; f < n_; ++f) {
+      if (tags_[f] == x) return static_cast<int>(f);
+    }
+    return -1;
+  }
+  int install(Addr x) {
+    int f = -1;
+    for (unsigned i = 0; i < n_ && f < 0; ++i) {  // free capacity first
+      if (tags_[i] == kNone && owner_[i] == 0) f = static_cast<int>(i);
+    }
+    if (f < 0) {  // victim: lowest age among non-busy frames, first on ties
+      for (unsigned i = 0; i < n_; ++i) {
+        if (owner_[i] == 0 && (f < 0 || ages_[i] < ages_[f])) {
+          f = static_cast<int>(i);
+        }
+      }
+    }
+    tags_[f] = x;
+    return f;
+  }
+
+  std::vector<Addr> tags_;
+  std::vector<unsigned> ages_;
+  std::vector<std::uint64_t> owner_;  // 0 = not busy
+  unsigned n_;
+  unsigned decay_period_;
+  std::uint64_t accesses_ = 0;
+};
+
+void run_approx_lru_kernel_mix(unsigned decay_period, std::uint64_t seed) {
+  Rig rig(ReplacementPolicy::kApproxLru, decay_period);
+  const unsigned n = rig.llc->num_lines();
+  const unsigned vregs = rig.cfg.llc.vpu.num_vregs;
+  const std::uint32_t line = rig.cfg.llc.line_bytes();
+  const Addr base = rig.cfg.mem.data_base;
+  RefApproxLruKernel model(n, decay_period);
+  workloads::Rng rng(seed);
+  std::deque<std::uint64_t> live;  // kernels holding claimed lines
+  std::uint64_t next_uid = 1;
+  unsigned busy = 0;
+  const std::vector<std::uint8_t> payload(line, 0x5A);
+
+  for (int i = 0; i < 20000; ++i) {
+    const auto roll = rng.uniform(0, 99);
+    const Addr x = base + static_cast<Addr>(rng.uniform(0, 4 * n - 1)) * line;
+    std::string what;
+    if (roll < 6) {
+      what = "kernel fill";
+      rig.llc->write_range(x, {payload.data(), payload.size()});
+      model.kernel_fill(x);
+    } else if (roll < 10 && busy < n / 2) {
+      what = "claim";
+      const unsigned f = static_cast<unsigned>(rng.uniform(0, n - 1));
+      if (model.busy(f)) continue;
+      if (live.empty() || rng.uniform(0, 3) == 0) live.push_back(next_uid++);
+      ++busy;
+      rig.llc->claim_line(f / vregs, f % vregs, live.back());
+      model.claim(f, live.back());
+    } else if (roll < 13 && !live.empty()) {
+      what = "release";
+      rig.llc->release_kernel_lines(live.front());
+      model.release(live.front());
+      live.pop_front();
+      busy = 0;
+      for (unsigned f = 0; f < n; ++f) busy += model.busy(f) ? 1 : 0;
+    } else {
+      what = "host read";
+      const Step want = model.host(x);
+      const Step got = rig.read(x);
+      ASSERT_EQ(got.hit, want.hit) << "period " << decay_period
+                                   << ": hit/miss diverged at op " << i;
+    }
+    for (unsigned f = 0; f < n; ++f) {
+      const Line& l = rig.llc->line(f);
+      const bool resident =
+          l.state == LineState::kClean || l.state == LineState::kDirty;
+      const Addr got = resident ? l.tag : RefApproxLruKernel::kNone;
+      ASSERT_EQ(got, model.tag(f))
+          << "period " << decay_period << ": frame " << f
+          << " diverged after op " << i << " (" << what << ")";
+      ASSERT_EQ(l.state == LineState::kBusy, model.busy(f))
+          << "period " << decay_period << ": frame " << f
+          << " busy state diverged after op " << i << " (" << what << ")";
+    }
+  }
+}
+
+TEST(ApproxLruDifferentialTest, KernelTrafficMatchesEagerSweep) {
+  // Period 1 saturates ages at 0 within 255 host reads; the default
+  // period keeps most resident lines at distinct non-zero ages.
+  run_approx_lru_kernel_mix(1, 0xA11CE);
+  run_approx_lru_kernel_mix(7, 0xB0B);
+  run_approx_lru_kernel_mix(LlcConfig{}.lru_decay_period, 0xC0FFEE);
+}
 
 // =====================================================================
 // Scenario regressions: hit-rate orderings with pinned golden counts.
@@ -682,6 +840,14 @@ TEST(ReplacementConfigTest, ValidateRejectsUnknownPolicyId) {
   SystemConfig cfg = SystemConfig::paper(4);
   cfg.llc.replacement = static_cast<ReplacementPolicy>(42);
   EXPECT_THROW(cfg.validate(), arcane::Error);
+}
+
+TEST(ReplacementConfigTest, ValidateRejectsZeroDecayPeriod) {
+  SystemConfig cfg = SystemConfig::paper(4);
+  cfg.llc.lru_decay_period = 0;
+  EXPECT_THROW(cfg.validate(), arcane::Error);
+  cfg.llc.lru_decay_period = 1;
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 }  // namespace
