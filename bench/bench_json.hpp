@@ -40,16 +40,6 @@
 
 namespace arcane::benchjson {
 
-/// Latency percentile over an ascending-sorted sample (floor index — the
-/// definition every latency-reporting bench shares so p50/p99 stay
-/// comparable across artifacts). Returns 0 on an empty sample.
-inline Cycle percentile(const std::vector<Cycle>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const auto idx =
-      static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
-
 /// Wall-clock stopwatch for the informational `host_wall_ms` field every
 /// schema-v2 row carries: the host time spent producing that row's
 /// simulated metrics. check_bench_regression.py reports drift on

@@ -26,20 +26,13 @@
 // — the delay from the end of the disturbance until the first completion
 // whose latency is back within the reference p99 (a finite value is the
 // "system recovers" acceptance signal). Grid cells: backend x scenario.
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "arcane/system.hpp"
-#include "bench_json.hpp"
-#include "sched/pipelines.hpp"
-#include "sched/scheduler.hpp"
-#include "workloads/tensors.hpp"
+#include "serving.hpp"
 
 using namespace arcane;
-using workloads::Rng;
 
 namespace {
 
@@ -55,15 +48,6 @@ unsigned tenant_priority(unsigned t) {
   if (t == 0) return kQosPriorityHigh;
   if (t == 3) return kQosPriorityLow;
   return kQosPriorityNormal;
-}
-
-constexpr const char* priority_name(unsigned p) {
-  switch (p) {
-    case kQosPriorityHigh: return "high";
-    case kQosPriorityNormal: return "normal";
-    case kQosPriorityLow: return "low";
-  }
-  return "?";
 }
 
 constexpr const char* kScenarios[] = {"none", "failstop", "hang", "transient",
@@ -126,119 +110,6 @@ Scenario make_scenario(const std::string& name, Cycle m, unsigned instances) {
   return s;
 }
 
-struct TenantResult {
-  std::uint64_t offered = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t on_time = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failovers = 0;
-  Cycle p50 = 0, p99 = 0;          // over completed jobs
-  sim::OpStallBreakdown stalls{};  // stall_* informational fields
-};
-
-struct RunResult {
-  Cycle makespan = 0;
-  double clock_mhz = 0.0;
-  double host_wall_ms = 0.0;
-  std::uint64_t watchdog_fires = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t faults_injected = 0;
-  Cycle recovery_cycles = 0;
-  std::uint64_t spans_recorded = 0;
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t series_truncated = 0;
-  std::vector<TenantResult> tenants;
-  TenantResult all;
-  std::vector<sched::JobReport> completed;  // recovery_cycles input
-};
-
-RunResult run_load(const SystemConfig& cfg, unsigned jobs_per_tenant,
-                   benchjson::TelemetryCollector* telem,
-                   const std::string& run_name) {
-  System sys(cfg);
-  if (telem != nullptr && telem->tracing()) sys.spans().enable();
-  if (telem != nullptr && telem->metrics_enabled()) sys.op_log().enable();
-  auto& sch = sys.scheduler();
-  for (unsigned t = 0; t < kTenants; ++t) {
-    sch.add_tenant("tenant" + std::to_string(t), tenant_priority(t));
-  }
-  std::vector<sched::PipelineSlot> slots;
-  slots.reserve(kTenants * jobs_per_tenant);
-  for (unsigned t = 0; t < kTenants; ++t) {
-    Rng rng(1000 + t);
-    for (unsigned j = 0; j < jobs_per_tenant; ++j) {
-      const Addr base =
-          sys.data_base() + 0x10000 + (t * jobs_per_tenant + j) * 0x8000;
-      slots.emplace_back(base);
-      sched::place_pipeline_data(sys, slots.back(),
-                                 sched::random_pipeline_data(rng));
-    }
-  }
-  for (unsigned t = 0; t < kTenants; ++t) {
-    for (unsigned j = 0; j < jobs_per_tenant; ++j) {
-      const Cycle arrival =
-          j * kOpenInterval + t * (kOpenInterval / kTenants);
-      sched::JobSpec job =
-          sched::pipeline_job(slots[t * jobs_per_tenant + j]);
-      job.deadline = arrival + kDeadline;
-      job.shed_on_expiry = true;
-      sch.submit(t, std::move(job), arrival);
-    }
-  }
-  sch.drain();
-
-  RunResult r;
-  r.makespan = sch.stats().makespan;
-  r.clock_mhz = cfg.clock_mhz;
-  r.watchdog_fires = sch.stats().watchdog_fires;
-  r.quarantines = sch.stats().quarantines;
-  if (sys.injector() != nullptr) {
-    r.faults_injected = sys.injector()->stats().injected;
-  }
-  r.tenants.resize(kTenants);
-  const telemetry::Series* lat_all =
-      sys.metrics().find_series("sched.job_latency");
-  for (unsigned t = 0; t < kTenants; ++t) {
-    TenantResult& tr = r.tenants[t];
-    const auto& ts = sch.tenant_stats(t);
-    tr.offered = jobs_per_tenant;
-    tr.completed = ts.jobs_completed;
-    tr.dropped = ts.jobs_dropped;
-    tr.failed = ts.jobs_failed;
-    tr.on_time = ts.jobs_on_time;
-    tr.retries = ts.retries;
-    tr.failovers = ts.failovers;
-    const telemetry::Series* lat = sys.metrics().find_series(
-        "sched.tenant" + std::to_string(t) + ".job_latency");
-    tr.p50 = lat->percentile(0.5);
-    tr.p99 = lat->percentile(0.99);
-    tr.stalls = sch.tenant_stalls(t);
-    r.series_truncated += lat->truncated();
-
-    r.all.offered += tr.offered;
-    r.all.completed += tr.completed;
-    r.all.dropped += tr.dropped;
-    r.all.failed += tr.failed;
-    r.all.on_time += tr.on_time;
-    r.all.retries += tr.retries;
-    r.all.failovers += tr.failovers;
-  }
-  r.all.p50 = lat_all->percentile(0.5);
-  r.all.p99 = lat_all->percentile(0.99);
-  r.all.stalls = sch.stall_totals();
-  r.series_truncated += lat_all->truncated();
-  r.completed = sch.completed();
-  r.spans_recorded = sys.spans().size();
-  r.spans_dropped = sys.spans().dropped();
-  if (telem != nullptr) {
-    telem->collect(run_name, sys.spans(), sys.metrics(),
-                   sys.flight_recorder(), &sys.op_log());
-  }
-  return r;
-}
-
 /// Cycles from the end of the disturbance until service is demonstrably
 /// back to reference quality: the first completion at or after
 /// `disturbance_end` whose latency is within the reference p99. Falls back
@@ -264,14 +135,11 @@ Cycle recovery_cycles_from(const std::vector<sched::JobReport>& completed,
 
 void emit(benchjson::Report& report, bool human, const std::string& scenario,
           const char* who, const char* priority, MemBackendKind backend,
-          SchedPolicy policy, unsigned instances, const RunResult& r,
-          const TenantResult& tr, const TenantResult& ref) {
-  const double seconds =
-      static_cast<double>(r.makespan) / (r.clock_mhz * 1e6);
-  const double throughput =
-      seconds > 0.0 ? static_cast<double>(tr.completed) / seconds : 0.0;
-  const double goodput =
-      seconds > 0.0 ? static_cast<double>(tr.on_time) / seconds : 0.0;
+          SchedPolicy policy, unsigned instances, Cycle recovery,
+          const serving::Result& r, const serving::TenantResult& tr,
+          const serving::TenantResult& ref) {
+  const double throughput = r.per_sec(tr.completed);
+  const double goodput = r.per_sec(tr.on_time);
   const double availability =
       tr.offered ? 100.0 * static_cast<double>(tr.completed) /
                        static_cast<double>(tr.offered)
@@ -304,9 +172,9 @@ void emit(benchjson::Report& report, bool human, const std::string& scenario,
       .num("goodput_retention_pct", retention)
       .num("p50_latency_cycles", static_cast<std::uint64_t>(tr.p50))
       .num("p99_latency_cycles", static_cast<std::uint64_t>(tr.p99))
-      .num("recovery_cycles", static_cast<std::uint64_t>(r.recovery_cycles))
-      .num("watchdog_fires", r.watchdog_fires)
-      .num("quarantines", r.quarantines)
+      .num("recovery_cycles", static_cast<std::uint64_t>(recovery))
+      .num("watchdog_fires", r.sched.watchdog_fires)
+      .num("quarantines", r.sched.quarantines)
       .num("faults_injected", r.faults_injected)
       .num("host_wall_ms", r.host_wall_ms)
       .num("telemetry_spans_recorded", r.spans_recorded)
@@ -319,7 +187,7 @@ void emit(benchjson::Report& report, bool human, const std::string& scenario,
         "recovery %7llu cyc  retry %llu  failover %llu\n",
         name, priority, availability, retention,
         static_cast<unsigned long long>(tr.p99),
-        static_cast<unsigned long long>(r.recovery_cycles),
+        static_cast<unsigned long long>(recovery),
         static_cast<unsigned long long>(tr.retries),
         static_cast<unsigned long long>(tr.failovers));
   }
@@ -338,8 +206,15 @@ int main(int argc, char** argv) {
   const benchjson::Options opt = h.parse(argc, argv);
   const unsigned instances = h.is("instances", "4") ? 4 : 2;
   const SchedPolicy policy = opt.sched_policy.value_or(SchedPolicy::kPriority);
-  const unsigned lanes = opt.lanes.value_or(4);
-  const unsigned jobs_per_tenant = opt.fast ? 10 : 24;
+  serving::Load load;
+  load.tenants = kTenants;
+  load.jobs_per_tenant = opt.fast ? 10 : 24;
+  for (unsigned t = 0; t < kTenants; ++t) {
+    load.priorities.push_back(tenant_priority(t));
+  }
+  load.interval = kOpenInterval;
+  load.deadline = kDeadline;
+  load.shed_on_expiry = true;
   const bool human = !opt.json;
   benchjson::Report report("fault_recovery");
   benchjson::TelemetryCollector telem(opt);
@@ -348,13 +223,13 @@ int main(int argc, char** argv) {
     std::printf(
         "Fault recovery (%u tenants, %u jobs/tenant, deadline %llu cyc, "
         "%u instances, policy %s)\n\n",
-        kTenants, jobs_per_tenant,
+        kTenants, load.jobs_per_tenant,
         static_cast<unsigned long long>(kDeadline), instances,
         sched_policy_name(policy));
   }
   for (const MemBackendKind backend : benchjson::backend_sweep(opt)) {
     if (human) std::printf("backend %s:\n", backend_name(backend));
-    SystemConfig base = SystemConfig::paper(lanes);
+    SystemConfig base = SystemConfig::paper(opt.lanes.value_or(4));
     base.mem.backend = backend;
     base.sched_instances = instances;
     base.sched_policy = policy;
@@ -365,28 +240,30 @@ int main(int argc, char** argv) {
       const benchjson::WallTimer cell_timer;
       // In-cell fault-free reference: anchors the fault plan, the goodput
       // retention basis and the recovery-qualification latency.
-      const RunResult ref = run_load(base, jobs_per_tenant, nullptr, "");
+      const serving::Result ref = serving::run(base, load);
       const Scenario sc =
-          make_scenario(scenario, ref.makespan, instances);
+          make_scenario(scenario, ref.sched.makespan, instances);
 
       SystemConfig cfg = base;
       cfg.fault = sc.fault;
-      const std::string run_name =
-          std::string(backend_name(backend)) + " " + scenario;
-      RunResult r = run_load(cfg, jobs_per_tenant, &telem, run_name);
-      if (std::string(scenario) != "none") {
-        r.recovery_cycles = recovery_cycles_from(
-            r.completed, sc.disturbance_end, ref.all.p99, r.makespan);
-      }
+      serving::Result r = serving::run(
+          cfg, load, &telem,
+          std::string(backend_name(backend)) + " " + scenario);
+      const Cycle recovery =
+          std::string(scenario) == "none"
+              ? 0
+              : recovery_cycles_from(r.completed, sc.disturbance_end,
+                                     ref.all.p99, r.sched.makespan);
       r.host_wall_ms = cell_timer.ms();
       for (unsigned t = 0; t < kTenants; ++t) {
         char who[16];
         std::snprintf(who, sizeof(who), "tenant%u", t);
-        emit(report, human, scenario, who, priority_name(tenant_priority(t)),
-             backend, policy, instances, r, r.tenants[t], ref.tenants[t]);
+        emit(report, human, scenario, who,
+             serving::priority_name(tenant_priority(t)), backend, policy,
+             instances, recovery, r, r.tenants[t], ref.tenants[t]);
       }
       emit(report, human, scenario, "all", "all", backend, policy, instances,
-           r, r.all, ref.all);
+           recovery, r, r.all, ref.all);
     }
     if (human) std::printf("\n");
   }

@@ -12,149 +12,19 @@
 // dispatch policy (fifo / rr / sjf) at the full 4-instance, 4-tenant
 // point. --json emits schema-v2 rows; --fast shrinks the per-tenant job
 // count for CI. Grid cells: backend x section.
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "arcane/system.hpp"
-#include "bench_json.hpp"
-#include "sched/pipelines.hpp"
-#include "sched/scheduler.hpp"
-#include "workloads/tensors.hpp"
+#include "serving.hpp"
 
 using namespace arcane;
-using workloads::Rng;
 
 namespace {
-
-std::optional<ReplacementPolicy> g_replacement;
-
-struct RunResult {
-  double host_wall_ms = 0.0;  // host time spent simulating this config
-  std::uint64_t jobs = 0;
-  Cycle makespan = 0;
-  double requests_per_sec = 0.0;
-  Cycle p50 = 0, p99 = 0;
-  double mean_queue_wait = 0.0;
-  std::uint64_t hazard_deferrals = 0;
-  std::uint64_t spans_recorded = 0;    // telemetry_* informational fields
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t series_truncated = 0;
-  sim::OpStallBreakdown stalls{};      // stall_* informational fields
-};
 
 enum class Workload { kPipeline, kSingleOp };
 
 constexpr const char* workload_name(Workload w) {
   return w == Workload::kPipeline ? "pipeline" : "singleop";
-}
-
-RunResult run_config(Workload workload, unsigned instances, unsigned tenants,
-                     unsigned jobs_per_tenant, MemBackendKind backend,
-                     SchedPolicy policy, unsigned lanes,
-                     benchjson::TelemetryCollector& telem,
-                     const std::string& run_name) {
-  const benchjson::WallTimer timer;
-  SystemConfig cfg = SystemConfig::paper(lanes);
-  cfg.mem.backend = backend;
-  cfg.sched_instances = instances;
-  cfg.sched_policy = policy;
-  if (g_replacement) cfg.llc.replacement = *g_replacement;
-  System sys(cfg);
-  if (telem.tracing()) sys.spans().enable();
-  if (telem.metrics_enabled()) sys.op_log().enable();
-  auto& sch = sys.scheduler();
-
-  // Open-loop arrivals: each tenant issues one request every `interval`
-  // cycles, offset so tenants do not arrive in lock-step.
-  const Cycle interval = workload == Workload::kPipeline ? 4000 : 2000;
-  const std::uint32_t slot_bytes =
-      workload == Workload::kPipeline ? 0x8000 : 0x4000;
-
-  for (unsigned t = 0; t < tenants; ++t) {
-    sch.add_tenant("tenant" + std::to_string(t));
-  }
-  for (unsigned t = 0; t < tenants; ++t) {
-    Rng rng(1000 + t);
-    for (unsigned j = 0; j < jobs_per_tenant; ++j) {
-      const Addr base = sys.data_base() + 0x10000 +
-                        (t * jobs_per_tenant + j) * slot_bytes;
-      const Cycle arrival = j * interval + t * (interval / tenants);
-      if (workload == Workload::kPipeline) {
-        const sched::PipelineSlot s(base);
-        sched::place_pipeline_data(sys, s, sched::random_pipeline_data(rng));
-        sch.submit(t, sched::pipeline_job(s), arrival);
-      } else {
-        sched::place_scaling_probe_data(sys, base, rng);
-        sch.submit(t, sched::scaling_probe_job(base), arrival);
-      }
-    }
-  }
-  sch.drain();
-
-  RunResult r;
-  r.jobs = sch.stats().jobs_completed;
-  r.makespan = sch.stats().makespan;
-  r.hazard_deferrals = sch.stats().hazard_deferrals;
-  // Registry-derived percentiles: the scheduler's sched.job_latency series
-  // holds exactly the completed-job latencies under the bench's floor-index
-  // rule, so these match the historical hand-sorted values bit for bit.
-  const telemetry::Series* lat =
-      sys.metrics().find_series("sched.job_latency");
-  r.p50 = lat->percentile(0.5);
-  r.p99 = lat->percentile(0.99);
-  r.series_truncated = lat->truncated();
-  r.spans_recorded = sys.spans().size();
-  r.spans_dropped = sys.spans().dropped();
-  r.stalls = sch.stall_totals();
-  telem.collect(run_name, sys.spans(), sys.metrics(), sys.flight_recorder(),
-                &sys.op_log());
-  const double seconds =
-      static_cast<double>(r.makespan) / (cfg.clock_mhz * 1e6);
-  r.requests_per_sec =
-      seconds > 0.0 ? static_cast<double>(r.jobs) / seconds : 0.0;
-  r.mean_queue_wait =
-      sch.stats().ops_dispatched
-          ? static_cast<double>(sch.stats().total_queue_wait) /
-                static_cast<double>(sch.stats().ops_dispatched)
-          : 0.0;
-  r.host_wall_ms = timer.ms();
-  return r;
-}
-
-void emit(benchjson::Report& report, bool human, Workload w,
-          unsigned instances, unsigned tenants, MemBackendKind backend,
-          SchedPolicy policy, const RunResult& r) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "%s/inst=%u/tenants=%u",
-                workload_name(w), instances, tenants);
-  auto& row = report.row()
-      .str("case", name)
-      .str("backend", backend_name(backend))
-      .str("policy", sched_policy_name(policy))
-      .num("jobs", r.jobs)
-      .num("makespan_cycles", static_cast<std::uint64_t>(r.makespan))
-      .num("requests_per_sec", r.requests_per_sec)
-      .num("p50_latency_cycles", static_cast<std::uint64_t>(r.p50))
-      .num("p99_latency_cycles", static_cast<std::uint64_t>(r.p99))
-      .num("mean_queue_wait_cycles", r.mean_queue_wait)
-      .num("hazard_deferrals", r.hazard_deferrals)
-      .num("host_wall_ms", r.host_wall_ms)
-      .num("telemetry_spans_recorded", r.spans_recorded)
-      .num("telemetry_spans_dropped", r.spans_dropped)
-      .num("telemetry_series_truncated", r.series_truncated);
-  benchjson::add_stall_fields(row, r.stalls);
-  if (human) {
-    std::printf(
-        "  %-24s %-6s %-5s: %7.0f req/s  p50 %7llu  p99 %7llu cyc "
-        "(%llu jobs, %llu cyc)\n",
-        name, backend_name(backend), sched_policy_name(policy),
-        r.requests_per_sec, static_cast<unsigned long long>(r.p50),
-        static_cast<unsigned long long>(r.p99),
-        static_cast<unsigned long long>(r.jobs),
-        static_cast<unsigned long long>(r.makespan));
-  }
 }
 
 }  // namespace
@@ -166,31 +36,72 @@ int main(int argc, char** argv) {
                "restrict to one workload section");
   h.grid().add_product({{"backend", {}}, {"section", {}}});
   const benchjson::Options opt = h.parse(argc, argv);
-  g_replacement = opt.replacement;
   // --sched-policy / ARCANE_BENCH_SCHED_POLICY overrides the default FIFO
   // grid (and suppresses the redundant policy sweep); unset keeps the
   // blessed-baseline row set bit-identical.
   const SchedPolicy base_policy =
       opt.sched_policy.value_or(SchedPolicy::kFifo);
-  const unsigned lanes = opt.lanes.value_or(4);
-  const unsigned jobs_per_tenant = opt.fast ? 6 : 24;
   const bool human = !opt.json;
   benchjson::Report report("pipeline_throughput");
   benchjson::TelemetryCollector telem(opt);
-  const auto run_name = [](MemBackendKind backend, Workload w,
-                           unsigned instances, unsigned tenants,
-                           SchedPolicy policy) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%s %s/inst=%u/tenants=%u (%s)",
-                  backend_name(backend), workload_name(w), instances,
-                  tenants, sched_policy_name(policy));
-    return std::string(buf);
+  const unsigned jobs_per_tenant = opt.fast ? 6 : 24;
+  // Run one configuration and emit its row.
+  const auto run = [&](Workload w, unsigned instances, unsigned tenants,
+                       MemBackendKind backend, SchedPolicy policy) {
+    SystemConfig cfg = SystemConfig::paper(opt.lanes.value_or(4));
+    cfg.mem.backend = backend;
+    cfg.sched_instances = instances;
+    cfg.sched_policy = policy;
+    if (opt.replacement) cfg.llc.replacement = *opt.replacement;
+    // Open-loop arrivals: each tenant issues one request every interval.
+    serving::Load load;
+    load.tenants = tenants;
+    load.jobs_per_tenant = jobs_per_tenant;
+    load.interval = w == Workload::kPipeline ? 4000 : 2000;
+    if (w == Workload::kSingleOp) load.job = serving::JobKind::kScalingProbe;
+
+    char name[64];
+    std::snprintf(name, sizeof(name), "%s/inst=%u/tenants=%u",
+                  workload_name(w), instances, tenants);
+    const std::string run_name = std::string(backend_name(backend)) + " " +
+                                 name + " (" + sched_policy_name(policy) +
+                                 ")";
+    const serving::Result r = serving::run(cfg, load, &telem, run_name);
+    const std::uint64_t jobs = r.all.completed;
+    const double rps = r.per_sec(jobs);
+    auto& row = report.row()
+        .str("case", name)
+        .str("backend", backend_name(backend))
+        .str("policy", sched_policy_name(policy))
+        .num("jobs", jobs)
+        .num("makespan_cycles", static_cast<std::uint64_t>(r.sched.makespan))
+        .num("requests_per_sec", rps)
+        .num("p50_latency_cycles", static_cast<std::uint64_t>(r.all.p50))
+        .num("p99_latency_cycles", static_cast<std::uint64_t>(r.all.p99))
+        .num("mean_queue_wait_cycles",
+             serving::ratio(r.sched.total_queue_wait, r.sched.ops_dispatched))
+        .num("hazard_deferrals", r.sched.hazard_deferrals)
+        .num("host_wall_ms", r.host_wall_ms)
+        .num("telemetry_spans_recorded", r.spans_recorded)
+        .num("telemetry_spans_dropped", r.spans_dropped)
+        .num("telemetry_series_truncated", r.series_truncated);
+    benchjson::add_stall_fields(row, r.all.stalls);
+    if (human) {
+      std::printf(
+          "  %-24s %-6s %-5s: %7.0f req/s  p50 %7llu  p99 %7llu cyc "
+          "(%llu jobs, %llu cyc)\n",
+          name, backend_name(backend), sched_policy_name(policy), rps,
+          static_cast<unsigned long long>(r.all.p50),
+          static_cast<unsigned long long>(r.all.p99),
+          static_cast<unsigned long long>(jobs),
+          static_cast<unsigned long long>(r.sched.makespan));
+    }
   };
 
   if (human) {
     std::printf("Kernel-offload scheduler throughput "
                 "(%u jobs/tenant, %u lanes)\n\n",
-                jobs_per_tenant, lanes);
+                jobs_per_tenant, opt.lanes.value_or(4));
   }
   for (const MemBackendKind backend : benchjson::backend_sweep(opt)) {
     if (human) std::printf("backend %s:\n", backend_name(backend));
@@ -198,12 +109,7 @@ int main(int argc, char** argv) {
       if (!h.is("section", workload_name(w))) continue;
       for (const unsigned instances : {1u, 2u, 4u}) {
         for (const unsigned tenants : {1u, 4u}) {
-          const RunResult r = run_config(
-              w, instances, tenants, jobs_per_tenant, backend, base_policy,
-              lanes, telem,
-              run_name(backend, w, instances, tenants, base_policy));
-          emit(report, human, w, instances, tenants, backend, base_policy,
-               r);
+          run(w, instances, tenants, backend, base_policy);
         }
       }
     }
@@ -213,11 +119,7 @@ int main(int argc, char** argv) {
     if (!opt.sched_policy && h.is("section", "policies")) {
       for (const SchedPolicy policy :
            {SchedPolicy::kRoundRobin, SchedPolicy::kSjf}) {
-        const RunResult r = run_config(
-            Workload::kPipeline, 4, 4, jobs_per_tenant, backend, policy,
-            lanes, telem,
-            run_name(backend, Workload::kPipeline, 4, 4, policy));
-        emit(report, human, Workload::kPipeline, 4, 4, backend, policy, r);
+        run(Workload::kPipeline, 4, 4, backend, policy);
       }
     }
     if (human) std::printf("\n");

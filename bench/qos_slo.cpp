@@ -26,21 +26,12 @@
 // with admission disabled (the nightly caps-on/off axis). --json emits
 // schema-v2 rows; --fast shrinks the job counts. Grid cells:
 // backend x section (open-ref / open-qos / closed).
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "arcane/system.hpp"
-#include "bench_json.hpp"
-#include "qos/admission.hpp"
-#include "sched/pipelines.hpp"
-#include "sched/scheduler.hpp"
-#include "workloads/tensors.hpp"
+#include "serving.hpp"
 
 using namespace arcane;
-using workloads::Rng;
 
 namespace {
 
@@ -72,39 +63,6 @@ unsigned tenant_priority(Mix mix, unsigned t) {
   return kQosPriorityLow;
 }
 
-constexpr const char* priority_name(unsigned p) {
-  switch (p) {
-    case kQosPriorityHigh: return "high";
-    case kQosPriorityNormal: return "normal";
-    case kQosPriorityLow: return "low";
-  }
-  return "?";
-}
-
-struct TenantResult {
-  std::uint64_t offered = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t on_time = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t max_outstanding = 0;
-  Cycle p50 = 0, p99 = 0;          // over completed jobs
-  sim::OpStallBreakdown stalls{};  // stall_* informational fields
-};
-
-struct RunResult {
-  Cycle makespan = 0;
-  double clock_mhz = 0.0;  // cycle -> seconds conversion for rps fields
-  double host_wall_ms = 0.0;  // host time spent simulating this section
-  std::uint64_t spans_recorded = 0;    // telemetry_* informational fields
-  std::uint64_t spans_dropped = 0;
-  std::uint64_t series_truncated = 0;
-  std::vector<TenantResult> tenants;
-  TenantResult all;
-};
-
 enum class Section { kOpenRef, kOpenQos, kClosed };
 
 constexpr const char* section_name(Section s) {
@@ -127,158 +85,48 @@ constexpr const char* section_knob_value(Section s) {
   return "?";
 }
 
-RunResult run_section(Section section, bool admission_on, Mix mix,
-                      unsigned jobs_per_tenant, MemBackendKind backend,
-                      SchedPolicy policy, unsigned lanes,
-                      std::optional<ReplacementPolicy> replacement,
-                      benchjson::TelemetryCollector& telem,
-                      const std::string& run_name) {
-  SystemConfig cfg = SystemConfig::paper(lanes);
+// Every section submits through the admission controller (pass-through
+// unless the section runs with admission on); every job carries the SLO.
+serving::Result run_section(Section section, bool admission_on, Mix mix,
+                            unsigned jobs_per_tenant, MemBackendKind backend,
+                            SchedPolicy policy, const benchjson::Options& opt,
+                            benchjson::TelemetryCollector& telem) {
+  SystemConfig cfg = SystemConfig::paper(opt.lanes.value_or(4));
   cfg.mem.backend = backend;
   cfg.sched_policy = policy;
-  if (replacement) cfg.llc.replacement = *replacement;
-  const bool qos_on = section == Section::kOpenQos && admission_on;
-  if (qos_on) {
+  if (opt.replacement) cfg.llc.replacement = *opt.replacement;
+  if (section == Section::kOpenQos && admission_on) {
     cfg.qos.enabled = true;
     cfg.qos.queue_cap = kQueueCap;
     cfg.qos.token_burst = kTokenBurst;
     cfg.qos.token_period = kTokenPeriod;
     cfg.qos.deadline_policy = DeadlinePolicy::kDropOnExpiry;
   }
-  System sys(cfg);
-  if (telem.tracing()) sys.spans().enable();
-  if (telem.metrics_enabled()) sys.op_log().enable();
-  auto& adm = sys.admission();
-  auto& sch = sys.scheduler();
-
+  serving::Load load;
+  load.tenants = kTenants;
+  load.jobs_per_tenant = jobs_per_tenant;
   for (unsigned t = 0; t < kTenants; ++t) {
-    qos::TenantQos spec;
-    spec.priority = tenant_priority(mix, t);
-    if (qos_on) {
-      spec.queue_cap = kQueueCap;
-      spec.token_burst = kTokenBurst;
-      spec.token_period = kTokenPeriod;
-    }
-    adm.add_tenant("tenant" + std::to_string(t), spec);
+    load.priorities.push_back(tenant_priority(mix, t));
   }
-
-  // All job data is placed up front (disjoint 0x8000 slots); only the
-  // submission times differ between the open- and closed-loop sections.
-  std::vector<sched::PipelineSlot> slots;
-  slots.reserve(kTenants * jobs_per_tenant);
-  for (unsigned t = 0; t < kTenants; ++t) {
-    Rng rng(1000 + t);
-    for (unsigned j = 0; j < jobs_per_tenant; ++j) {
-      const Addr base = sys.data_base() + 0x10000 +
-                        (t * jobs_per_tenant + j) * 0x8000;
-      slots.emplace_back(base);
-      sched::place_pipeline_data(sys, slots.back(),
-                                 sched::random_pipeline_data(rng));
-    }
-  }
-  auto submit_job = [&](unsigned t, unsigned j, Cycle arrival) {
-    sched::JobSpec job =
-        sched::pipeline_job(slots[t * jobs_per_tenant + j]);
-    job.deadline = arrival + kDeadline;  // SLO accounting in every section
-    adm.submit(t, std::move(job), arrival);
-  };
-
-  // Lives until drain(): the closed-loop completion callback reads it.
-  std::vector<unsigned> next(kTenants, 0);
-  if (section == Section::kClosed) {
-    sch.set_on_job_done([&](const sched::JobReport& rep) {
-      if (next[rep.tenant] < jobs_per_tenant) {
-        submit_job(rep.tenant, next[rep.tenant]++, rep.done);
-      }
-    });
-    for (unsigned t = 0; t < kTenants; ++t) {
-      for (unsigned w = 0; w < kClosedWindow; ++w) {
-        submit_job(t, next[t]++, 0);
-      }
-    }
-  } else {
-    for (unsigned t = 0; t < kTenants; ++t) {
-      for (unsigned j = 0; j < jobs_per_tenant; ++j) {
-        submit_job(t, j, j * kOpenInterval + t * (kOpenInterval / kTenants));
-      }
-    }
-  }
-  adm.drain();
-
-  RunResult r;
-  r.makespan = sch.stats().makespan;
-  r.clock_mhz = cfg.clock_mhz;
-  r.tenants.resize(kTenants);
-  // Percentiles come from the scheduler's registry series — the same
-  // sample set as iterating sch.completed() by hand (the scheduler records
-  // each completed job's latency at the exact site completed_ is pushed),
-  // under the same floor-index rule, so the values are bit-identical to
-  // the historical hand-computed ones.
-  const telemetry::Series* lat_all =
-      sys.metrics().find_series("sched.job_latency");
-  for (unsigned t = 0; t < kTenants; ++t) {
-    TenantResult& tr = r.tenants[t];
-    const auto& qs = adm.tenant_qos(t);
-    const auto& ts = sch.tenant_stats(t);
-    tr.offered = qs.jobs_offered;
-    tr.accepted = qs.jobs_accepted;
-    tr.rejected = qs.jobs_rejected();
-    tr.completed = ts.jobs_completed;
-    tr.dropped = ts.jobs_dropped;
-    tr.on_time = ts.jobs_on_time;
-    tr.deadline_misses = ts.deadline_misses;
-    tr.max_outstanding = qs.max_outstanding;
-    const telemetry::Series* lat = sys.metrics().find_series(
-        "sched.tenant" + std::to_string(t) + ".job_latency");
-    tr.p50 = lat->percentile(0.5);
-    tr.p99 = lat->percentile(0.99);
-    tr.stalls = sch.tenant_stalls(t);
-    r.series_truncated += lat->truncated();
-
-    r.all.offered += tr.offered;
-    r.all.accepted += tr.accepted;
-    r.all.rejected += tr.rejected;
-    r.all.completed += tr.completed;
-    r.all.dropped += tr.dropped;
-    r.all.on_time += tr.on_time;
-    r.all.deadline_misses += tr.deadline_misses;
-    r.all.max_outstanding =
-        std::max(r.all.max_outstanding, tr.max_outstanding);
-  }
-  r.all.p50 = lat_all->percentile(0.5);
-  r.all.p99 = lat_all->percentile(0.99);
-  r.all.stalls = sch.stall_totals();
-  r.series_truncated += lat_all->truncated();
-  r.spans_recorded = sys.spans().size();
-  r.spans_dropped = sys.spans().dropped();
-  telem.collect(run_name, sys.spans(), sys.metrics(), sys.flight_recorder(),
-                &sys.op_log());
-  return r;
+  load.interval = kOpenInterval;
+  if (section == Section::kClosed) load.window = kClosedWindow;
+  load.deadline = kDeadline;
+  load.admission = true;
+  return serving::run(
+      cfg, load, &telem,
+      std::string(backend_name(backend)) + " " + section_name(section));
 }
 
 void emit(benchjson::Report& report, bool human, Section section,
           const char* who, const char* priority, MemBackendKind backend,
-          SchedPolicy policy, bool admission_on, Mix mix, const RunResult& r,
-          const TenantResult& tr) {
-  const double seconds =
-      static_cast<double>(r.makespan) / (r.clock_mhz * 1e6);
-  const double throughput =
-      seconds > 0.0 ? static_cast<double>(tr.completed) / seconds : 0.0;
-  const double goodput =
-      seconds > 0.0 ? static_cast<double>(tr.on_time) / seconds : 0.0;
-  const std::uint64_t resolved = tr.completed + tr.dropped;
+          SchedPolicy policy, bool admission_on, Mix mix,
+          const serving::Result& r, const serving::TenantResult& tr) {
+  const double throughput = r.per_sec(tr.completed);
+  const double goodput = r.per_sec(tr.on_time);
   const double drop_rate =
-      resolved ? static_cast<double>(tr.dropped) /
-                     static_cast<double>(resolved)
-               : 0.0;
-  const double reject_rate =
-      tr.offered ? static_cast<double>(tr.rejected) /
-                       static_cast<double>(tr.offered)
-                 : 0.0;
-  const double miss_rate =
-      tr.completed ? static_cast<double>(tr.deadline_misses) /
-                         static_cast<double>(tr.completed)
-                   : 0.0;
+      serving::ratio(tr.dropped, tr.completed + tr.dropped);
+  const double reject_rate = serving::ratio(tr.rejected, tr.offered);
+  const double miss_rate = serving::ratio(tr.deadline_misses, tr.completed);
   char name[64];
   std::snprintf(name, sizeof(name), "%s/%s", section_name(section), who);
   auto& row = report.row()
@@ -335,7 +183,6 @@ int main(int argc, char** argv) {
   const Mix mix = h.is("mix", "skewed") ? Mix::kSkewed : Mix::kUniform;
   const SchedPolicy policy =
       opt.sched_policy.value_or(SchedPolicy::kPriority);
-  const unsigned lanes = opt.lanes.value_or(4);
   const unsigned jobs_per_tenant = opt.fast ? 24 : 48;
   const bool human = !opt.json;
   benchjson::Report report("qos_slo");
@@ -354,13 +201,9 @@ int main(int argc, char** argv) {
     for (const Section section :
          {Section::kOpenRef, Section::kOpenQos, Section::kClosed}) {
       if (!h.is("section", section_knob_value(section))) continue;
-      const benchjson::WallTimer section_timer;
-      const std::string run_name =
-          std::string(backend_name(backend)) + " " + section_name(section);
-      RunResult r =
+      const serving::Result r =
           run_section(section, admission_on, mix, jobs_per_tenant, backend,
-                      policy, lanes, opt.replacement, telem, run_name);
-      r.host_wall_ms = section_timer.ms();
+                      policy, opt, telem);
       // Per-tenant rows for the admission-controlled sections; the
       // reference section only needs the aggregate (its per-tenant split
       // is symmetric by construction).
@@ -369,7 +212,8 @@ int main(int argc, char** argv) {
           char who[16];
           std::snprintf(who, sizeof(who), "tenant%u", t);
           emit(report, human, section, who,
-               priority_name(tenant_priority(mix, t)), backend, policy,
+               serving::priority_name(tenant_priority(mix, t)), backend,
+               policy,
                admission_on, mix, r, r.tenants[t]);
         }
       }

@@ -151,7 +151,6 @@ struct FaultEvent {
 /// the fault subsystem.
 struct FaultConfig {
   bool enabled = false;  // false: no injector, no watchdog, no retries
-  std::uint32_t seed = 1;              // reserved for randomized plans
   std::vector<FaultEvent> events;      // declared faults, in arming order
   std::uint64_t watchdog_timeout = 0;  // cycles before a hung op is aborted
   unsigned max_retries = 0;            // re-dispatch attempts per failed op

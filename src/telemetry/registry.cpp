@@ -1,6 +1,5 @@
 #include "telemetry/registry.hpp"
 
-#include <cmath>
 #include <ostream>
 
 namespace arcane::telemetry {
@@ -24,20 +23,6 @@ void write_escaped(std::ostream& os, const std::string& s) {
 
 }  // namespace
 
-std::uint64_t Histogram::percentile(double q) const {
-  if (count_ == 0) return 0;
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
-  if (rank == 0) rank = 1;
-  if (rank > count_) rank = count_;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += buckets_[i];
-    if (seen >= rank) return std::min(bucket_upper(i), max_);
-  }
-  return max_;
-}
-
 std::uint64_t Series::percentile(double q) const {
   if (samples_.empty()) return 0;
   std::vector<std::uint64_t> sorted(samples_);
@@ -48,28 +33,14 @@ std::uint64_t Series::percentile(double q) const {
 }
 
 std::uint64_t Registry::value(const std::string& name) const {
-  if (auto it = bound_.find(name); it != bound_.end()) return it->second();
-  if (auto it = counters_.find(name); it != counters_.end()) {
-    return it->second.value();
-  }
-  if (auto it = gauges_.find(name); it != gauges_.end()) {
-    return static_cast<std::uint64_t>(it->second.value());
-  }
-  return 0;
+  auto it = bound_.find(name);
+  return it == bound_.end() ? 0 : it->second();
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> Registry::snapshot() const {
-  // std::map iteration is already name-ordered; merge the three scalar maps
-  // into one sorted sequence (names are expected to be disjoint).
   std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(bound_.size() + counters_.size() + gauges_.size());
+  out.reserve(bound_.size());
   for (const auto& [name, get] : bound_) out.emplace_back(name, get());
-  for (const auto& [name, c] : counters_) out.emplace_back(name, c.value());
-  for (const auto& [name, g] : gauges_) {
-    out.emplace_back(name, static_cast<std::uint64_t>(g.value()));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
@@ -81,19 +52,6 @@ void Registry::write_json(std::ostream& os) const {
     first = false;
     write_escaped(os, name);
     os << ": " << v;
-  }
-  os << (first ? "}" : "\n  }");
-
-  os << ",\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    write_escaped(os, name);
-    os << ": {\"count\": " << h.count() << ", \"sum\": " << h.sum()
-       << ", \"min\": " << h.min() << ", \"max\": " << h.max()
-       << ", \"p50\": " << h.p50() << ", \"p90\": " << h.p90()
-       << ", \"p99\": " << h.p99() << "}";
   }
   os << (first ? "}" : "\n  }");
 

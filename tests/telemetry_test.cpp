@@ -1,10 +1,9 @@
-// Telemetry layer: histogram bucket math, exact Series percentiles,
-// registry determinism, flight-recorder ring bounds, and the Perfetto
-// exporter's structural validity.
+// Telemetry layer: exact Series percentiles, registry determinism,
+// flight-recorder ring bounds, and the Perfetto exporter's structural
+// validity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -22,67 +21,14 @@ namespace arcane {
 namespace {
 
 using telemetry::FlightRecorder;
-using telemetry::Histogram;
 using telemetry::JobRecord;
 using telemetry::Registry;
 using telemetry::Series;
 using telemetry::SpanTracer;
 using telemetry::TraceFile;
 
-TEST(TelemetryTest, HistogramBucketBoundaries) {
-  // Bucket 0 holds exactly 0; bucket i >= 1 holds [2^(i-1), 2^i).
-  EXPECT_EQ(Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(Histogram::bucket_of(7), 3u);
-  EXPECT_EQ(Histogram::bucket_of(8), 4u);
-  EXPECT_EQ(Histogram::bucket_of(~0ull), Histogram::kBuckets - 1);
-  for (std::size_t i = 1; i + 1 < Histogram::kBuckets; ++i) {
-    const std::uint64_t lo = std::uint64_t{1} << (i - 1);
-    const std::uint64_t hi = Histogram::bucket_upper(i);
-    EXPECT_EQ(Histogram::bucket_of(lo), i);
-    EXPECT_EQ(Histogram::bucket_of(hi), i);
-    EXPECT_EQ(hi, (std::uint64_t{1} << i) - 1);
-  }
-}
-
-TEST(TelemetryTest, HistogramPercentileMatchesSortedReference) {
-  // The histogram quotes the upper bound of the bucket containing the
-  // requested rank, clamped to the true max. Verify against the exact
-  // order statistic from a sorted copy.
-  std::vector<std::uint64_t> values;
-  std::uint64_t seed = 99;
-  for (int i = 0; i < 500; ++i) {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    values.push_back((seed >> 33) % 10000);
-  }
-  Histogram h;
-  for (auto v : values) h.record(v);
-  std::vector<std::uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-
-  EXPECT_EQ(h.count(), values.size());
-  EXPECT_EQ(h.min(), sorted.front());
-  EXPECT_EQ(h.max(), sorted.back());
-  for (double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(values.size())));
-    rank = std::min(std::max<std::size_t>(rank, 1), values.size());
-    const std::uint64_t exact = sorted[rank - 1];
-    const std::uint64_t expected = std::min(
-        Histogram::bucket_upper(Histogram::bucket_of(exact)), h.max());
-    EXPECT_EQ(h.percentile(q), expected) << "q=" << q;
-    EXPECT_GE(h.percentile(q), exact);          // never under-reports
-    if (exact > 0) {
-      EXPECT_LT(h.percentile(q), 2 * exact + 1);  // within 2x
-    }
-  }
-}
-
 TEST(TelemetryTest, SeriesPercentileMatchesBenchRule) {
-  // Series::percentile must replicate benchjson::percentile exactly:
+  // Series::percentile is the floor-index rule every latency row uses:
   // ascending sort, then sorted[size_t(q * (n - 1))].
   std::vector<std::uint64_t> values = {17, 3, 99, 3, 42, 7, 58, 1, 23, 88, 5};
   Series s;
@@ -107,8 +53,8 @@ TEST(TelemetryTest, SeriesTruncatesAtCapacity) {
 
 TEST(TelemetryTest, RegistryValueAndSnapshotOrder) {
   Registry reg;
-  reg.counter("b.count").add(7);
-  reg.gauge("c.level").set(3);
+  reg.bind("c.level", [] { return std::uint64_t{3}; });
+  reg.bind("b.count", [] { return std::uint64_t{7}; });
   std::uint64_t external = 41;
   reg.bind("a.bound", [&external] { return external; });
   ++external;
@@ -122,6 +68,7 @@ TEST(TelemetryTest, RegistryValueAndSnapshotOrder) {
   EXPECT_EQ(snap[0].first, "a.bound");  // name-sorted, deterministic
   EXPECT_EQ(snap[1].first, "b.count");
   EXPECT_EQ(snap[2].first, "c.level");
+  EXPECT_EQ(snap[2].second, 3u);
 }
 
 XProgram small_kernel_program(System& sys) {
@@ -272,9 +219,9 @@ TEST(TelemetryTest, RegistryJsonIsStructurallyValid) {
 // label) must come out escaped, not as truncated/invalid JSON.
 TEST(TelemetryTest, RegistryJsonEscapesHostileNames) {
   Registry reg;
-  reg.counter("evil\"name").add(1);
-  reg.counter("back\\slash").add(2);
-  reg.counter("multi\nline\ttab").add(3);
+  reg.bind("evil\"name", [] { return std::uint64_t{1}; });
+  reg.bind("back\\slash", [] { return std::uint64_t{2}; });
+  reg.bind("multi\nline\ttab", [] { return std::uint64_t{3}; });
   std::ostringstream os;
   reg.write_json(os);
   const std::string text = os.str();
@@ -322,38 +269,6 @@ TEST(TelemetryTest, FlightRecorderWraparoundPreservesOrderAndDrops) {
   // Job 2 wrapped out of tenant 0's ring; job 10 survived.
   EXPECT_EQ(os.str().find("{\"job\": 2,"), std::string::npos);
   EXPECT_NE(os.str().find("{\"job\": 10,"), std::string::npos);
-}
-
-// The histogram's percentile (upper bound of the rank's power-of-two
-// bucket, clamped to the true max) must agree with the Series' exact
-// order statistic to within bucket resolution: never below it, never
-// 2x-or-more above it.
-TEST(TelemetryTest, SeriesAndHistogramPercentilesAgreeWithinBucket) {
-  Series series;
-  Histogram hist;
-  std::uint64_t seed = 7;
-  for (int i = 0; i < 2000; ++i) {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    const std::uint64_t v = 1 + ((seed >> 33) % 100000);
-    series.record(v);
-    hist.record(v);
-  }
-  for (double q : {0.10, 0.50, 0.90, 0.99, 1.0}) {
-    const std::uint64_t exact = series.percentile(q);
-    const std::uint64_t bucketed = hist.percentile(q);
-    ASSERT_GT(exact, 0u);
-    EXPECT_GE(bucketed, exact) << "q=" << q;
-    EXPECT_LT(bucketed, 2 * exact) << "q=" << q;
-  }
-  // Degenerate distribution: both quote the exact value.
-  Series one_s;
-  Histogram one_h;
-  for (int i = 0; i < 32; ++i) {
-    one_s.record(4096);
-    one_h.record(4096);
-  }
-  EXPECT_EQ(one_s.percentile(0.5), 4096u);
-  EXPECT_EQ(one_h.percentile(0.5), 4096u);
 }
 
 }  // namespace
