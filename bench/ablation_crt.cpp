@@ -74,7 +74,7 @@ ChainResult chain_run(ChainMode mode) {
   sys.load_program(prog.finish());
   const auto res = sys.run();
   return {res.cycles, sys.runtime().phases().writebacks_elided,
-          sys.runtime().stall_totals()};
+          sys.stall_totals()};
 }
 
 }  // namespace
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
                 .num("cycles", static_cast<std::uint64_t>(res.cycles))
                 .num("writebacks", sys.llc().stats().writebacks)
                 .num("host_wall_ms", timer.ms()),
-            sys.runtime().stall_totals());
+            sys.stall_totals());
         if (human) {
           std::printf("  %-22s: %9llu cycles, %llu eviction writebacks\n",
                       name, static_cast<unsigned long long>(res.cycles),

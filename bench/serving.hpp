@@ -237,7 +237,7 @@ inline Result run(const SystemConfig& cfg, const Load& load,
     all.retries += tr.retries;
     all.failovers += tr.failovers;
   }
-  all.stalls = sch.stall_totals();
+  all.stalls = sys.stall_totals();
   percentiles(sys.metrics().find_series("sched.job_latency"), all);
   r.completed = sch.completed();
   r.spans_recorded = sys.spans().size();

@@ -166,7 +166,7 @@ Totals run_sched(unsigned instances, unsigned jobs, MemBackendKind backend,
     sch.drain();
     t.sim_cycles = sch.stats().makespan;
     t.kernel_ops = sch.stats().ops_completed;
-    t.stalls = sch.stall_totals();
+    t.stalls = sys.stall_totals();
     t.events = sys.events().executed();
     if (r == 0) continue;  // warm-up: excluded from the throughput sums
     t.reps_cycles += static_cast<double>(sch.stats().makespan);

@@ -19,19 +19,20 @@ System::System(SystemConfig cfg, crt::KernelLibrary library) : cfg_(cfg) {
     vpus_.emplace_back(cfg_.llc.vpu, i, *storage_);
   }
   llc_ = std::make_unique<llc::Llc>(cfg_, events_, *ext_, *dma_, *storage_);
-  runtime_ = std::make_unique<crt::Runtime>(cfg_, events_, *llc_, *dma_,
-                                            vpus_, std::move(library));
-  sched_ = std::make_unique<sched::Scheduler>(*runtime_);
+  crt_ = std::make_unique<crt::CrtContext>(cfg_, events_, *llc_, *dma_, vpus_,
+                                           std::move(library));
+  runtime_ = std::make_unique<crt::Runtime>(*crt_);
+  sched_ = std::make_unique<sched::Scheduler>(*crt_);
   qos_ = std::make_unique<qos::AdmissionController>(*sched_, events_,
                                                     cfg_.qos);
   bridge_ = std::make_unique<bridge::Bridge>(cfg_, *runtime_);
   host_ = std::make_unique<cpu::HostCpu>(cfg_, *imem_, *this, bridge_.get());
   llc_->set_spans(&spans_);
-  runtime_->set_spans(&spans_);
+  crt_->spans = &spans_;
   bridge_->set_spans(&spans_);
   dma_->set_spans(&spans_);
   llc_->register_metrics(metrics_);
-  runtime_->register_metrics(metrics_);
+  crt_->register_metrics(metrics_);
   dma_->register_metrics(metrics_);
   ext_->backend().register_metrics(metrics_);
   sched_->set_telemetry(&metrics_, &flight_);
@@ -83,13 +84,13 @@ cpu::HostCpu::RunResult System::run_unchecked(std::uint64_t max_instructions) {
 void System::drain() { events_.run_all(); }
 
 void System::write_bytes(Addr addr, std::span<const std::uint8_t> data) {
-  runtime_->materialize_range(addr, static_cast<std::uint32_t>(data.size()));
+  crt_->materialize_range(addr, addr + static_cast<Addr>(data.size()));
   llc_->backdoor_write(addr, data.data(),
                        static_cast<std::uint32_t>(data.size()));
 }
 
 void System::read_bytes(Addr addr, std::span<std::uint8_t> out) {
-  runtime_->materialize_range(addr, static_cast<std::uint32_t>(out.size()));
+  crt_->materialize_range(addr, addr + static_cast<Addr>(out.size()));
   llc_->backdoor_read(addr, out.data(), static_cast<std::uint32_t>(out.size()));
 }
 

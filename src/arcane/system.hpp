@@ -94,8 +94,8 @@ class System final : public cpu::DataPort {
   llc::Llc& llc() { return *llc_; }
   crt::Runtime& runtime() { return *runtime_; }
   /// Multi-tenant kernel-offload scheduler driving one crt::KernelExecutor
-  /// per VPU instance (cfg.sched_instances / cfg.sched_policy). Shares the
-  /// Runtime's eCPU, DMA and LLC arbitration; jobs submitted here execute
+  /// per VPU instance (cfg.sched_instances / cfg.sched_policy). Runs on the
+  /// same C-RT back end as runtime(); jobs submitted here execute
   /// concurrently across instances in simulated time.
   sched::Scheduler& scheduler() { return *sched_; }
   /// QoS admission controller fronting the scheduler (cfg.qos): per-tenant
@@ -126,13 +126,10 @@ class System final : public cpu::DataPort {
   /// default; op_log().enable() to record — capture never perturbs timing).
   telemetry::OpLog& op_log() { return op_log_; }
   const telemetry::OpLog& op_log() const { return op_log_; }
-  /// System-wide stall-bucket totals: scheduler-retired ops plus the legacy
-  /// single-kernel offload path. Each retired op contributes exactly its
-  /// lifetime cycles (docs/OBSERVABILITY.md, "Cycle accounting").
-  sim::OpStallBreakdown stall_totals() const {
-    sim::OpStallBreakdown b = sched_->stall_totals();
-    b += runtime_->stall_totals();
-    return b;
+  /// Stall-bucket totals of every kernel retired through either offload
+  /// path (docs/OBSERVABILITY.md, "Cycle accounting").
+  const sim::OpStallBreakdown& stall_totals() const {
+    return crt_->stall_totals;
   }
   std::vector<vpu::VectorUnit>& vpus() { return vpus_; }
   mem::MainMemory& external_memory() { return *ext_; }
@@ -162,6 +159,7 @@ class System final : public cpu::DataPort {
   std::unique_ptr<dma::DmaEngine> dma_;
   std::vector<vpu::VectorUnit> vpus_;
   std::unique_ptr<llc::Llc> llc_;
+  std::unique_ptr<crt::CrtContext> crt_;
   std::unique_ptr<crt::Runtime> runtime_;
   std::unique_ptr<sched::Scheduler> sched_;
   std::unique_ptr<qos::AdmissionController> qos_;

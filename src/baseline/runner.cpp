@@ -70,7 +70,7 @@ ConvRunResult run_case(SystemConfig cfg, Impl impl, const ConvCase& c) {
     sys.load_program(prog.finish());
     run = sys.run();
     res.phases = sys.runtime().phases();
-    res.stalls = sys.runtime().stall_totals();
+    res.stalls = sys.stall_totals();
     for (auto& vu : sys.vpus()) {
       res.vpu_macs += vu.stats().macs;
       res.vpu_instructions += vu.stats().instructions;

@@ -5,42 +5,6 @@
 
 namespace arcane::crt {
 
-Cycle preamble_marking_cost(const KernelOp& op, const Plan& plan,
-                            const SystemConfig& cfg,
-                            const CrtCostModel& costs) {
-  const std::uint32_t line = cfg.llc.line_bytes();
-  std::uint64_t lines_marked = 0;
-  auto count_lines = [&](const Operand& o) {
-    if (o.valid) {
-      lines_marked += ceil_div<std::uint32_t>(
-          std::max<std::uint32_t>(o.footprint(op.et), 1u), line);
-    }
-  };
-  count_lines(op.ms1);
-  count_lines(op.ms2);
-  count_lines(op.ms3);
-  lines_marked += ceil_div<std::uint32_t>(
-      std::max<std::uint32_t>(plan.dest_hi - plan.dest_lo, 1u), line);
-  return lines_marked * costs.preamble_per_line;
-}
-
-void register_at_ranges(KernelOp& op, const Plan& plan,
-                        llc::AddressTable& at) {
-  // Destination first, then sources not covered by it.
-  op.dest_at_entry = static_cast<int>(
-      at.register_range(plan.dest_lo, plan.dest_hi, true, op.uid));
-  auto register_src = [&](const Operand& o) {
-    if (!o.valid) return;
-    const Addr lo = o.addr;
-    const Addr hi = o.addr + std::max<std::uint32_t>(o.footprint(op.et), 1u);
-    if (lo >= plan.dest_lo && hi <= plan.dest_hi) return;  // covered by dest
-    op.src_at_entries.push_back(at.register_range(lo, hi, false, op.uid));
-  };
-  register_src(op.ms1);
-  register_src(op.ms2);
-  register_src(op.ms3);
-}
-
 void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
                             Cycle now) {
   ARCANE_ASSERT(!active_.valid, "launch on a busy executor");
@@ -50,7 +14,6 @@ void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
   active_.op = std::move(op);
   active_.plan = std::move(plan);
   active_.valid = true;
-  ++ctx_->kernels_in_flight;
 
   if (ctx_->spans != nullptr) {
     for (unsigned v : vpus) {
@@ -82,7 +45,6 @@ void KernelExecutor::launch_hung(KernelOp op, Plan plan,
   active_.plan = std::move(plan);
   active_.valid = true;
   active_.hung = true;
-  ++ctx_->kernels_in_flight;
   if (ctx_->spans != nullptr) {
     for (unsigned v : vpus) {
       ctx_->spans->instant(telemetry::track_vpu(v), "kernel.launch", now,
@@ -94,12 +56,10 @@ void KernelExecutor::launch_hung(KernelOp op, Plan plan,
   // Intentionally no chain events: the kernel sits here until abort_hung().
 }
 
-void KernelExecutor::abort_hung(Cycle /*t*/) {
+void KernelExecutor::abort_hung() {
   ARCANE_ASSERT(active_.valid && active_.hung,
                 "abort_hung on an executor that is not hung");
   active_ = ActiveKernel{};
-  ARCANE_ASSERT(ctx_->kernels_in_flight > 0, "in-flight kernel underflow");
-  --ctx_->kernels_in_flight;
 }
 
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
@@ -130,11 +90,11 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   }
   fwd_valid_.assign(cs.tile.loads.size(), 0);
   for (std::size_t i = 0; i < cs.tile.loads.size(); ++i) {
-    fwd_valid_[i] = client_->forward_load(cs.tile.loads[i], fwd_bufs_[i]);
+    fwd_valid_[i] = ctx_->forward_load(cs.tile.loads[i], fwd_bufs_[i]);
   }
 
   if (!cs.claimed) {
-    client_->before_claim(cs.vpu, t);
+    ctx_->drop_residents_on_vpu(cs.vpu);
     dma::TransferCost claim_cost;
     for (std::uint8_t v : cs.chain.vregs_used) {
       claim_cost += ctx_->llc->claim_line(cs.vpu, v, op.uid);
@@ -152,7 +112,7 @@ void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   for (std::size_t i = 0; i < cs.tile.loads.size(); ++i) {
     if (fwd_valid_[i]) continue;
     const DmaXfer& x = cs.tile.loads[i];
-    client_->materialize_deferred(
+    ctx_->materialize_range(
         x.mem_addr, x.mem_addr + (x.rows - 1) * x.mem_stride + x.row_bytes);
   }
 
@@ -330,8 +290,6 @@ void KernelExecutor::finish_kernel(Cycle t) {
   fin.breakdown = active_.breakdown;
   // Free the executor *before* the hook so the owner can relaunch from it.
   active_ = ActiveKernel{};
-  ARCANE_ASSERT(ctx_->kernels_in_flight > 0, "in-flight kernel underflow");
-  --ctx_->kernels_in_flight;
   client_->on_kernel_finish(*this, std::move(fin), t);
 }
 

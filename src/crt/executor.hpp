@@ -1,118 +1,44 @@
-// KernelExecutor — the reusable per-instance kernel execution engine of the
-// C-RT (paper §IV-B2/B3). One executor walks one in-flight kernel through
-// its chains and tiles: allocation 2D-DMA, VPU micro-program launch and
+// KernelExecutor — the per-instance kernel execution engine of the C-RT
+// (paper §IV-B2/B3). One executor walks one in-flight kernel through its
+// chains and tiles: allocation 2D-DMA, VPU micro-program launch and
 // write-back, all as events on the shared simulation queue.
 //
-// Two owners exist:
-//  * crt::Runtime keeps a single executor and serializes the kernel queue on
-//    it — the paper's single-kernel-in-flight C-RT (timing unchanged).
-//  * sched::Scheduler keeps one executor per VPU instance so independent
-//    kernels from different jobs/tenants execute concurrently, sharing the
-//    eCPU timeline, the DMA engine and the LLC through the same arbitration
-//    the single-kernel path uses.
-//
-// Cross-kernel policies (destination forwarding, write-back elision, what
-// happens at completion) stay with the owner, reached through the Client
-// interface — the executor itself is policy-free mechanics.
+// Executors run on the one C-RT back end (crt::CrtContext): they charge
+// its eCPU, share its DMA engine and LLC, and consult its resident set for
+// forwarding, before claiming lines and before reading memory. The front
+// end that owns an executor — crt::Runtime keeps one and serializes its
+// in-order queue on it; sched::Scheduler keeps one per VPU instance — is
+// reached through the Client interface for its two own decisions: may a
+// write-back be elided, and what happens when the kernel finished.
 #ifndef ARCANE_CRT_EXECUTOR_HPP_
 #define ARCANE_CRT_EXECUTOR_HPP_
 
 #include <cstdint>
 #include <vector>
 
-#include "common/config.hpp"
+#include "crt/context.hpp"
 #include "crt/kernel_op.hpp"
-#include "dma/dma.hpp"
-#include "llc/llc.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "telemetry/span.hpp"
-#include "vpu/vector_unit.hpp"
 
 namespace arcane::crt {
 
-/// Shared C-RT firmware context: the single management eCPU's busy-until
-/// horizon, phase accounting and kernel uid allocator. Every executor (and
-/// the Runtime's decoder) charges eCPU work here, so descriptor programming
-/// serializes on one core even when kernels overlap across instances.
-struct CrtContext {
-  const SystemConfig* cfg = nullptr;
-  CrtCostModel costs{};
-  sim::EventQueue* events = nullptr;
-  llc::Llc* llc = nullptr;
-  dma::DmaEngine* dma = nullptr;
-  std::vector<vpu::VectorUnit>* vpus = nullptr;
-
-  Cycle ecpu_free = 0;
-  sim::CrtPhaseStats phases{};
-  std::uint64_t next_uid = 1;
-  /// Kernels currently in flight across *all* executors sharing this
-  /// context — lets each offload path detect the other one mid-kernel
-  /// (concurrent use of both paths is rejected, not arbitrated).
-  unsigned kernels_in_flight = 0;
-  telemetry::SpanTracer* spans = nullptr;
-};
-
-/// Everything the owner needs to retire a completed kernel: the decoded op
-/// (AT entries, uid), its plan (destination range, chain/tile geometry for
-/// resident bookkeeping), the VPU each chain ran on, whether the write-back
-/// was elided, and the kernel's cycle accounting.
-struct FinishedKernel {
-  KernelOp op;
-  Plan plan;
-  std::vector<unsigned> vpus;  // VPU per chain
-  bool elided_writeback = false;
-  /// Exclusive stall-bucket decomposition of the kernel's in-executor
-  /// lifetime. For a single-chain kernel the segments tile [launch event,
-  /// finish] exactly; multi-chain kernels accumulate per-chain segments
-  /// (chains overlap in wall-clock, so their sum exceeds the interval).
-  sim::OpStallBreakdown breakdown{};
-};
-
-/// eCPU cycles of the CT source/destination status-marking pass (§III-A3):
-/// one `preamble_per_line` charge per cache line covered by the valid
-/// source operands and the plan's destination range. Shared by the
-/// decoder's kernel preamble and the scheduler's dispatch so the two
-/// offload paths price marking identically.
-Cycle preamble_marking_cost(const KernelOp& op, const Plan& plan,
-                            const SystemConfig& cfg,
-                            const CrtCostModel& costs);
-
-/// Register the plan's destination and any source ranges not covered by it
-/// in the address table, recording the entry ids in `op` — the coherence
-/// rule both the decoder (§IV-B1) and the scheduler dispatch follow.
-void register_at_ranges(KernelOp& op, const Plan& plan,
-                        llc::AddressTable& at);
-
 class KernelExecutor {
  public:
-  /// Owner hooks, called at the exact points the single-kernel C-RT consults
-  /// its resident/forwarding state. A policy-free owner (the scheduler)
-  /// implements these as no-ops.
+  /// The owning front end's decisions.
   class Client {
    public:
-    virtual ~Client() = default;
-    /// Fill `out` with a forwardable register-file copy of the rows a load
-    /// would fetch and return true; false = fetch through the cache as
-    /// usual. `out` is a reusable scratch buffer owned by the executor —
-    /// implementations resize it (capacity is recycled across tiles) and
-    /// must not keep references past the call.
-    virtual bool forward_load(const DmaXfer& x,
-                              std::vector<std::uint8_t>& out) = 0;
-    /// About to claim this chain's lines on `vpu` (drop stale residents).
-    virtual void before_claim(unsigned vpu, Cycle t) = 0;
-    /// A non-forwarded load reads [lo, hi) from memory: lazily materialize
-    /// any deferred (never written back) intermediate overlapping it.
-    virtual void materialize_deferred(Addr lo, Addr hi) = 0;
     /// May this kernel skip its write-back entirely (full elision)? Only
     /// asked once the executor has verified the store geometry allows it.
     virtual bool allow_writeback_elision(Addr dest_lo, Addr dest_hi) = 0;
     /// The kernel completed at `t` (epilogue charged, phases updated, the
-    /// executor already free). The owner releases AT entries / kernel
-    /// lines, records its bookkeeping and may launch the next kernel on
-    /// `ex` right away.
+    /// executor already free). The owner retires it (CrtContext::retire),
+    /// records its bookkeeping and may launch the next kernel on `ex`
+    /// right away.
     virtual void on_kernel_finish(KernelExecutor& ex, FinishedKernel fin,
                                   Cycle t) = 0;
+
+   protected:
+    ~Client() = default;
   };
 
   KernelExecutor(CrtContext& ctx, Client& client, unsigned id)
@@ -132,17 +58,17 @@ class KernelExecutor {
   /// executor (the owner's watchdog decides when).
   void launch_hung(KernelOp op, Plan plan, std::vector<unsigned> vpus,
                    Cycle now);
-  /// Abort a hung kernel at `t`: the executor becomes free, the kernel is
-  /// NOT retired through Client::on_kernel_finish (it never finished). The
-  /// owner keeps its own bookkeeping for the aborted attempt.
-  void abort_hung(Cycle t);
+  /// Abort a hung kernel: the executor becomes free, the kernel is NOT
+  /// retired through Client::on_kernel_finish (it never finished). The
+  /// owner retires it from op() first and keeps its own bookkeeping for
+  /// the aborted attempt.
+  void abort_hung();
   bool hung() const { return active_.valid && active_.hung; }
 
   bool busy() const { return active_.valid; }
   unsigned id() const { return id_; }
   /// The in-flight kernel (valid while busy).
   const KernelOp& op() const { return active_.op; }
-  const Plan& plan() const { return active_.plan; }
 
  private:
   struct ChainState {

@@ -9,9 +9,11 @@
 #ifndef ARCANE_CRT_KERNEL_OP_HPP_
 #define ARCANE_CRT_KERNEL_OP_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -20,16 +22,23 @@
 
 namespace arcane::crt {
 
-/// A matrix operand snapshot taken at decode time. Snapshotting implements
-/// the hazard checker's logical-matrix *renaming* (paper §IV-B1): a later
-/// xmr may rebind the logical register without disturbing in-flight kernels.
+/// A matrix operand snapshot (address + shape): taken at decode time on the
+/// host path, named directly by scheduler jobs. Snapshotting implements the
+/// hazard checker's logical-matrix *renaming* (paper §IV-B1): a later xmr
+/// may rebind the logical register without disturbing in-flight kernels.
 struct Operand {
   Addr addr = 0;
   MatShape shape{};
   bool valid = false;
 
+  /// Bytes covered in memory; 0 for an absent operand.
   std::uint32_t footprint(ElemType et) const {
-    return mat_footprint_bytes(shape, et);
+    return valid ? mat_footprint_bytes(shape, et) : 0;
+  }
+  /// [lo, hi) the operand covers in memory, at least one byte wide — the
+  /// range the address table, hazard checks and forwarding compare.
+  std::pair<Addr, Addr> range(ElemType et) const {
+    return {addr, addr + std::max<std::uint32_t>(footprint(et), 1u)};
   }
 };
 

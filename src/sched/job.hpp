@@ -14,23 +14,14 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "crt/kernel_op.hpp"
 
 namespace arcane::sched {
 
-/// A matrix operand snapshot (address + shape), the scheduler's analogue of
+/// A present operand at `addr` with `shape` — the scheduler's analogue of
 /// an xmr-bound logical register.
-struct OperandSpec {
-  Addr addr = 0;
-  MatShape shape{};
-  bool valid = false;
-
-  std::uint32_t footprint(ElemType et) const {
-    return valid ? mat_footprint_bytes(shape, et) : 0;
-  }
-};
-
-inline OperandSpec operand(Addr addr, MatShape shape) {
-  return OperandSpec{addr, shape, true};
+inline crt::Operand operand(Addr addr, MatShape shape) {
+  return crt::Operand{addr, shape, true};
 }
 
 /// One node of a job DAG: a kernel invocation (func5 selects the kernel in
@@ -40,7 +31,7 @@ struct OpSpec {
   ElemType et = ElemType::kWord;
   std::uint16_t alpha = 0;  // packed scalar params (paper Table I);
   std::uint16_t beta = 0;   // alpha doubles as the maxpool stride, beta as win
-  OperandSpec md, ms1, ms2, ms3;
+  crt::Operand md, ms1, ms2, ms3;
   std::vector<unsigned> deps;  // op indices within the same job
 };
 

@@ -7,57 +7,43 @@ namespace arcane::sched {
 namespace {
 
 /// The scheduler's analogue of the decoder's operand resolution: ops carry
-/// operand snapshots directly, so this is a straight field translation.
+/// operand snapshots directly, so this is a straight field copy.
 crt::KernelOp make_kernel_op(const OpSpec& s) {
   crt::KernelOp op;
   op.func5 = s.func5;
   op.et = s.et;
   op.f.alpha = s.alpha;
   op.f.beta = s.beta;
-  auto conv = [](const OperandSpec& o) {
-    return crt::Operand{o.addr, o.shape, o.valid};
-  };
-  op.md = conv(s.md);
-  op.ms1 = conv(s.ms1);
-  op.ms2 = conv(s.ms2);
-  op.ms3 = conv(s.ms3);
+  op.md = s.md;
+  op.ms1 = s.ms1;
+  op.ms2 = s.ms2;
+  op.ms3 = s.ms3;
   return op;
 }
 
-bool ranges_overlap(Addr a_lo, Addr a_hi, Addr b_lo, Addr b_hi) {
-  return a_lo < b_hi && b_lo < a_hi;
+bool ranges_overlap(std::pair<Addr, Addr> a, std::pair<Addr, Addr> b) {
+  return a.first < b.second && b.first < a.second;
 }
 
-std::pair<Addr, Addr> dest_range(const OpSpec& s) {
-  return {s.md.addr,
-          s.md.addr + std::max<std::uint32_t>(s.md.footprint(s.et), 1u)};
+/// Does any valid source of `op` overlap `range`?
+bool src_overlaps(const OpSpec& op, std::pair<Addr, Addr> range) {
+  for (const crt::Operand* s : {&op.ms1, &op.ms2, &op.ms3}) {
+    if (s->valid && ranges_overlap(s->range(op.et), range)) return true;
+  }
+  return false;
 }
 
 /// Any dest/dest, dest/src or src/dest overlap between two op specs.
 bool specs_conflict(const OpSpec& a, const OpSpec& b) {
-  const auto [alo, ahi] = dest_range(a);
-  const auto [blo, bhi] = dest_range(b);
-  if (ranges_overlap(alo, ahi, blo, bhi)) return true;
-  auto src_hits_dest = [](const OpSpec& from, Addr lo, Addr hi) {
-    for (const OperandSpec* s : {&from.ms1, &from.ms2, &from.ms3}) {
-      if (!s->valid) continue;
-      const Addr slo = s->addr;
-      const Addr shi =
-          slo + std::max<std::uint32_t>(s->footprint(from.et), 1u);
-      if (ranges_overlap(slo, shi, lo, hi)) return true;
-    }
-    return false;
-  };
-  return src_hits_dest(a, blo, bhi) || src_hits_dest(b, alo, ahi);
+  const auto ad = a.md.range(a.et);
+  const auto bd = b.md.range(b.et);
+  return ranges_overlap(ad, bd) || src_overlaps(a, bd) || src_overlaps(b, ad);
 }
 
 }  // namespace
 
-Scheduler::Scheduler(crt::Runtime& rt)
-    : rt_(&rt),
-      ctx_(&rt.context()),
-      cfg_(rt.context().cfg),
-      policy_(cfg_->sched_policy) {
+Scheduler::Scheduler(crt::CrtContext& ctx)
+    : ctx_(&ctx), cfg_(ctx.cfg), policy_(cfg_->sched_policy) {
   const unsigned n =
       cfg_->sched_instances != 0 ? cfg_->sched_instances : cfg_->llc.num_vpus;
   ARCANE_CHECK(n >= 1 && n <= cfg_->llc.num_vpus,
@@ -107,11 +93,6 @@ void Scheduler::set_telemetry(telemetry::Registry* reg,
   bind("sched.quarantines", stats_.quarantines);
   bind("sched.total_queue_wait", stats_.total_queue_wait);
   bind("sched.makespan", stats_.makespan);
-  for (unsigned i = 0; i < sim::kNumStallBuckets; ++i) {
-    const auto b = static_cast<sim::StallBucket>(i);
-    reg->bind(std::string("sched.stall.") + sim::stall_bucket_name(b),
-              [this, i] { return stall_totals_.cycles[i]; });
-  }
   latency_all_ = &reg->series("sched.job_latency");
   for (unsigned t = 0; t < num_tenants(); ++t) register_tenant_metrics(t);
 }
@@ -157,7 +138,7 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   std::vector<crt::Plan> plans;
   plans.reserve(job.ops.size());
   for (const OpSpec& s : job.ops) {
-    const crt::KernelInfo* info = rt_->library().find(s.func5);
+    const crt::KernelInfo* info = ctx_->library.find(s.func5);
     ARCANE_CHECK(info != nullptr,
                  "job uses unknown kernel id " << unsigned(s.func5));
     ARCANE_CHECK(s.md.valid, info->name << ": destination operand missing");
@@ -427,11 +408,10 @@ void Scheduler::check_liveness(Cycle t) const {
 
 void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   // The hazard tracking above only covers scheduler-launched kernels: a
-  // legacy bridge offload in flight could race this dispatch for lines and
-  // operand ranges. Drive one offload path at a time.
-  ARCANE_CHECK(rt_->idle(),
-               "scheduler dispatch while the host-program offload path has "
-               "kernels queued or in flight — drain it first");
+  // host-program offload queued or in flight could race this dispatch for
+  // lines and operand ranges.
+  ctx_->check_one_offload_path(crt::CrtContext::FrontEnd::kScheduler);
+  ++ctx_->sched_kernels;
   JobState& js = jobs_[e.job];
   OpState& os = js.ops[e.op];
   const OpSpec& spec = os.spec;
@@ -441,6 +421,11 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   // Ops dispatch exactly once per attempt; a retry re-planned the spec
   // into os.plan before requeueing (requeue_op).
   crt::Plan plan = std::move(os.plan);
+  // A resident copy (a host-program kernel may have left one, on any VPU)
+  // overlapping the destination is about to be superseded: materialize a
+  // deferred write-back, then drop the record so no later kernel forwards
+  // stale data — the same step as Runtime::try_start.
+  ctx_->drop_residents(plan.dest_lo, plan.dest_hi);
 
   // Failover accounting: a retry attempt landing on a different instance
   // than the failed one is a failover.
@@ -462,19 +447,15 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   // per-line CT status marking (same budget as the decoder's path, minus
   // the bridge IRQ entry the direct-submit path does not take), then the
   // scheduling decision itself.
-  const Cycle decode_cost =
-      ctx_->costs.decode_lookup + ctx_->costs.kernel_preamble +
-      crt::preamble_marking_cost(op, plan, *cfg_, ctx_->costs);
+  const Cycle decode_cost = ctx_->costs.decode_lookup +
+                            ctx_->costs.kernel_preamble +
+                            ctx_->marking_cost(op, plan);
   const Cycle start = std::max(t, ctx_->ecpu_free);
-  ctx_->ecpu_free = start + decode_cost + ctx_->costs.schedule;
-  ctx_->phases.preamble += decode_cost;
-  ctx_->phases.scheduling += ctx_->costs.schedule;
-  ctx_->phases.ecpu_busy += decode_cost + ctx_->costs.schedule;
+  ctx_->charge_ecpu(start, decode_cost, ctx_->costs.schedule);
 
-  // AT registration mirrors the decoder (shared rule): destination first,
-  // then sources not covered by it — host traffic to in-flight ranges
-  // stalls coherently.
-  crt::register_at_ranges(op, plan, ctx_->llc->at());
+  // AT registration is the decoder's rule: host traffic to in-flight
+  // ranges stalls coherently.
+  ctx_->register_at_ranges(op, plan);
 
   InFlight fl;
   fl.valid = true;
@@ -494,14 +475,9 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   }
   fl.dest_lo = plan.dest_lo;
   fl.dest_hi = plan.dest_hi;
-  fl.dest_at_entry = op.dest_at_entry;
-  fl.src_at_entries = op.src_at_entries;
   for (const crt::Operand* o : {&op.ms1, &op.ms2, &op.ms3}) {
-    if (!o->valid) continue;
-    fl.src_ranges.emplace_back(
-        o->addr, o->addr + std::max<std::uint32_t>(o->footprint(op.et), 1u));
+    if (o->valid) fl.src_ranges.push_back(o->range(op.et));
   }
-  fl.uid = op.uid;
   fl.dispatch_seq = ++dispatch_seq_;
   fl.post_dispatch = ctx_->ecpu_free;
   // Consult the fault plan: a one-shot op fault armed for this instance
@@ -557,12 +533,8 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   ARCANE_ASSERT(inflight_[inst].valid, "finish on an idle instance");
   const InFlight fl = std::move(inflight_[inst]);
   inflight_[inst] = InFlight{};
-
-  for (unsigned at : fl.src_at_entries) ctx_->llc->at().release(at);
-  if (fl.dest_at_entry >= 0) {
-    ctx_->llc->at().release(static_cast<unsigned>(fl.dest_at_entry));
-  }
-  ctx_->llc->release_kernel_lines(fin.op.uid);
+  --ctx_->sched_kernels;
+  ctx_->retire(fin.op, /*keep_dest_entry=*/false, /*keep_lines=*/false);
   stats_.instance_occupied[inst] += t - fl.dispatch_at;
 
   JobState& js = jobs_[fl.job];
@@ -612,7 +584,7 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
                 "op stall buckets sum to " << bd.total() << " but op latency is "
                 << (t - os.first_ready) << " (job " << js.id << " op " << fl.op
                 << ")");
-  stall_totals_ += bd;
+  ctx_->stall_totals += bd;
   tenant_stall_[js.tenant] += bd;
   if (op_log_ != nullptr && op_log_->enabled()) {
     telemetry::OpTiming ot;
@@ -706,15 +678,13 @@ void Scheduler::abort_hung_inflight(unsigned inst, Cycle t) {
                 "abort of a non-hung instance");
   const InFlight fl = std::move(inflight_[inst]);
   inflight_[inst] = InFlight{};
-  execs_[inst]->abort_hung(t);
   // The hung kernel registered AT ranges at dispatch but never claimed
   // lines or ran DMA; release what it held so a retry re-registers
   // cleanly (idempotent re-dispatch).
-  for (unsigned at : fl.src_at_entries) ctx_->llc->at().release(at);
-  if (fl.dest_at_entry >= 0) {
-    ctx_->llc->at().release(static_cast<unsigned>(fl.dest_at_entry));
-  }
-  ctx_->llc->release_kernel_lines(fl.uid);
+  --ctx_->sched_kernels;
+  ctx_->retire(execs_[inst]->op(), /*keep_dest_entry=*/false,
+               /*keep_lines=*/false);
+  execs_[inst]->abort_hung();
   stats_.instance_occupied[inst] += t - fl.dispatch_at;
   JobState& js = jobs_[fl.job];
   OpState& os = js.ops[fl.op];
@@ -778,7 +748,7 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
   // Idempotent re-dispatch: re-plan from the immutable spec (the planner
   // is a pure function of spec + cfg); AT registration and operand reload
   // re-run inside dispatch exactly like a first attempt.
-  const crt::KernelInfo* info = rt_->library().find(os.spec.func5);
+  const crt::KernelInfo* info = ctx_->library.find(os.spec.func5);
   ARCANE_ASSERT(info != nullptr, "kernel missing from the library on retry");
   crt::Plan plan = info->planner(make_kernel_op(os.spec), *cfg_);
   ARCANE_ASSERT(plan.ok(), "retry re-plan failed: " << plan.error);
@@ -904,23 +874,17 @@ void Scheduler::on_instance_recover(unsigned inst, Cycle t) {
 }
 
 bool Scheduler::conflicts(const OpSpec& spec) const {
-  const Addr dlo = spec.md.addr;
-  const Addr dhi = dlo + std::max<std::uint32_t>(spec.md.footprint(spec.et), 1u);
-  const OperandSpec* srcs[] = {&spec.ms1, &spec.ms2, &spec.ms3};
+  const auto dest = spec.md.range(spec.et);
   for (const InFlight& fl : inflight_) {
     if (!fl.valid) continue;
+    const std::pair<Addr, Addr> fl_dest{fl.dest_lo, fl.dest_hi};
     // WAW / WAR: our destination vs their destination and sources.
-    if (ranges_overlap(dlo, dhi, fl.dest_lo, fl.dest_hi)) return true;
-    for (const auto& [lo, hi] : fl.src_ranges) {
-      if (ranges_overlap(dlo, dhi, lo, hi)) return true;
+    if (ranges_overlap(dest, fl_dest)) return true;
+    for (const auto& src : fl.src_ranges) {
+      if (ranges_overlap(dest, src)) return true;
     }
     // RAW: our sources vs their destination.
-    for (const OperandSpec* s : srcs) {
-      if (!s->valid) continue;
-      const Addr lo = s->addr;
-      const Addr hi = lo + std::max<std::uint32_t>(s->footprint(spec.et), 1u);
-      if (ranges_overlap(lo, hi, fl.dest_lo, fl.dest_hi)) return true;
-    }
+    if (src_overlaps(spec, fl_dest)) return true;
   }
   return false;
 }

@@ -7,10 +7,10 @@
 //  * line storage / LLC ways — instance i only claims lines of VPU i (a
 //    plan's vector registers live in one VPU's way group), so instances
 //    never contend for lines structurally;
-//  * DMA engine, eCPU and the controller lock — shared with the legacy
-//    single-kernel path through the Runtime's CrtContext, so allocation and
-//    write-back transfers of concurrent kernels serialize exactly like the
-//    hardware's single engine;
+//  * DMA engine, eCPU and the controller lock — the C-RT back end
+//    (crt::CrtContext) the host-program path runs on too, so allocation
+//    and write-back transfers of concurrent kernels serialize exactly like
+//    the hardware's single engine;
 //  * data hazards — an op whose operand ranges overlap an in-flight op's
 //    destination (or whose destination overlaps in-flight sources) is held
 //    in its ready queue until the conflicting kernel retires, and
@@ -19,7 +19,9 @@
 //    without host AT stalls.
 //
 // Everything runs as events on the System's queue, so instances advance
-// concurrently in *simulated* time and results are deterministic.
+// concurrently in *simulated* time and results are deterministic. Kernel
+// retirement, the resident set and the stall ledger are the back end's;
+// the scheduler keeps jobs, ready queues, hazards, QoS and fault handling.
 #ifndef ARCANE_SCHED_SCHEDULER_HPP_
 #define ARCANE_SCHED_SCHEDULER_HPP_
 
@@ -30,8 +32,8 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "crt/context.hpp"
 #include "crt/executor.hpp"
-#include "crt/runtime.hpp"
 #include "fault/fault.hpp"
 #include "sched/job.hpp"
 #include "sched/ready_queue.hpp"
@@ -69,9 +71,9 @@ struct JobReport {
 class Scheduler final : public crt::KernelExecutor::Client,
                         public fault::Listener {
  public:
-  /// Instances, policy and the shared C-RT context come from the Runtime's
-  /// SystemConfig (sched_instances == 0 means one instance per VPU).
-  explicit Scheduler(crt::Runtime& rt);
+  /// Instances and policy come from the back end's SystemConfig
+  /// (sched_instances == 0 means one instance per VPU).
+  explicit Scheduler(crt::CrtContext& ctx);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -111,7 +113,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   bool instance_quarantined(unsigned inst) const {
     return health_[inst].quarantined;
   }
-  SchedPolicy policy() const { return policy_; }
 
   /// Wire the deterministic fault injector (src/fault/). The caller (the
   /// System) also registers this scheduler as the injector's Listener.
@@ -133,11 +134,10 @@ class Scheduler final : public crt::KernelExecutor::Client,
   const sim::TenantStats& tenant_stats(unsigned t) const {
     return tenant_stats_[t];
   }
-  /// Exclusive stall-bucket cycles summed over every op retired through
-  /// this scheduler. Per op the buckets tile [op ready, op finish] exactly
-  /// (sum == op latency — asserted at completion), so these totals are the
-  /// full cycle-accounting of all scheduled work.
-  const sim::OpStallBreakdown& stall_totals() const { return stall_totals_; }
+  /// Exclusive stall-bucket cycles of tenant `t`'s retired ops. Per op the
+  /// buckets tile [op ready, op finish] exactly (sum == op latency —
+  /// asserted at completion); every op also lands in the back end's ledger
+  /// (System::stall_totals()).
   const sim::OpStallBreakdown& tenant_stalls(unsigned t) const {
     return tenant_stall_[t];
   }
@@ -171,20 +171,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
   }
 
   // --------------------- KernelExecutor::Client ----------------------
-  // The scheduler path does no cross-kernel destination forwarding (jobs
-  // express reuse as DAG edges instead); residents of the legacy path are
-  // still dropped/materialized so both paths can share one LLC
-  // *sequentially* (dispatch checks the legacy path is idle — concurrent
-  // use of both offload paths is rejected, not arbitrated).
-  bool forward_load(const crt::DmaXfer&, std::vector<std::uint8_t>&) override {
-    return false;
-  }
-  void before_claim(unsigned vpu, Cycle t) override {
-    rt_->drop_residents_on_vpu(vpu, t);
-  }
-  void materialize_deferred(Addr lo, Addr hi) override {
-    rt_->materialize_range(lo, hi - lo);
-  }
+  // Jobs express reuse as DAG edges, so the scheduler never elides a
+  // write-back.
   bool allow_writeback_elision(Addr, Addr) override { return false; }
   void on_kernel_finish(crt::KernelExecutor& ex, crt::FinishedKernel fin,
                         Cycle t) override;
@@ -240,10 +228,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
     sim::OpStallBreakdown pre{};
     Addr dest_lo = 0, dest_hi = 0;
     std::vector<std::pair<Addr, Addr>> src_ranges;
-    std::vector<unsigned> src_at_entries;
-    int dest_at_entry = -1;
     // Failure handling (src/fault/).
-    std::uint64_t uid = 0;           // kernel uid (hung-abort line release)
     std::uint64_t dispatch_seq = 0;  // watchdog token (stale-fire filter)
     Cycle post_dispatch = 0;         // eCPU horizon at launch (hang window)
     fault::OpVerdict verdict = fault::OpVerdict::kNone;
@@ -276,8 +261,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// aborted — events already scheduled always fire).
   void watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t);
   /// Abort the hung in-flight kernel on `inst` (watchdog or fail-stop):
-  /// release its AT entries, fold the attempt into the op's accumulator
-  /// and route to handle_op_failure.
+  /// retire it, fold the attempt into the op's accumulator and route to
+  /// handle_op_failure.
   void abort_hung_inflight(unsigned inst, Cycle t);
   /// One op attempt failed on `inst`: update health, then either schedule
   /// a retry (backoff + requeue) or fail the job on exhaustion.
@@ -305,7 +290,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// drain diagnostics.
   std::string queue_dump() const;
 
-  crt::Runtime* rt_;
   crt::CrtContext* ctx_;
   const SystemConfig* cfg_;
   SchedPolicy policy_;
@@ -320,7 +304,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   std::vector<unsigned> tenant_priority_;
   std::vector<sim::TenantStats> tenant_stats_;
   std::vector<sim::OpStallBreakdown> tenant_stall_;
-  sim::OpStallBreakdown stall_totals_{};
   telemetry::OpLog* op_log_ = nullptr;
   std::vector<JobState> jobs_;
   std::vector<JobReport> completed_;

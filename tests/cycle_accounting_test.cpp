@@ -90,8 +90,8 @@ TEST(CycleAccountingTest, BucketSumInvariantAcrossBackendsAndPolicies) {
         EXPECT_LT(op.dispatch, op.finish);
         sum += op.breakdown;
       }
-      // The scheduler's running total is exactly the sum over retired ops.
-      const sim::OpStallBreakdown& totals = sys.scheduler().stall_totals();
+      // The system ledger is exactly the sum over retired ops.
+      const sim::OpStallBreakdown& totals = sys.stall_totals();
       for (unsigned i = 0; i < sim::kNumStallBuckets; ++i) {
         EXPECT_EQ(totals.cycles[i], sum.cycles[i])
             << sim::stall_bucket_name(static_cast<sim::StallBucket>(i));
@@ -105,9 +105,9 @@ TEST(CycleAccountingTest, BucketSumInvariantAcrossBackendsAndPolicies) {
   }
 }
 
-// Per-tenant accumulators partition the global totals, and the registry's
-// bound views (sched.stall.*, sched.tenant<i>.stall.*) read the same
-// numbers the accessors return.
+// Per-tenant accumulators partition the system ledger, and the registry's
+// bound views (crt.stall.*, sched.tenant<i>.stall.*) read the same numbers
+// the accessors return.
 TEST(CycleAccountingTest, TenantPartitionAndRegistryViewsAgree) {
   System sys(
       contended_config(MemBackendKind::kBurstPsram, SchedPolicy::kFifo));
@@ -118,9 +118,9 @@ TEST(CycleAccountingTest, TenantPartitionAndRegistryViewsAgree) {
   for (unsigned i = 0; i < sim::kNumStallBuckets; ++i) {
     const auto b = static_cast<sim::StallBucket>(i);
     const std::string name = sim::stall_bucket_name(b);
-    EXPECT_EQ(tenant_sum.cycles[i], sch.stall_totals().cycles[i]) << name;
-    EXPECT_EQ(sys.metrics().value("sched.stall." + name),
-              sch.stall_totals().cycles[i])
+    EXPECT_EQ(tenant_sum.cycles[i], sys.stall_totals().cycles[i]) << name;
+    EXPECT_EQ(sys.metrics().value("crt.stall." + name),
+              sys.stall_totals().cycles[i])
         << name;
     for (unsigned t = 0; t < 3; ++t) {
       EXPECT_EQ(sys.metrics().value("sched.tenant" + std::to_string(t) +
@@ -138,8 +138,7 @@ TEST(CycleAccountingTest, AccountingIsDeterministic) {
         contended_config(MemBackendKind::kDramTiming, SchedPolicy::kSjf));
     sys.op_log().enable();
     run_contended(sys);
-    return std::make_pair(sys.op_log().entries(),
-                          sys.scheduler().stall_totals());
+    return std::make_pair(sys.op_log().entries(), sys.stall_totals());
   };
   const auto a = capture();
   const auto b = capture();
@@ -173,7 +172,7 @@ TEST(CycleAccountingTest, OpLogCaptureNeverPerturbsTiming) {
     for (const auto& rep : sys.scheduler().completed()) {
       done.push_back(rep.done);
     }
-    return std::make_pair(done, sys.scheduler().stall_totals());
+    return std::make_pair(done, sys.stall_totals());
   };
   const auto with = run(true);
   const auto without = run(false);

@@ -303,6 +303,43 @@ TEST(SchedMixedPathTest, ConcurrentOffloadPathsRejected) {
   EXPECT_THROW(sys.run(), Error);
 }
 
+// The reverse order: a scheduler job arrives while a host-program kernel is
+// still in flight.
+TEST(SchedMixedPathTest, JobArrivingDuringHostKernelRejected) {
+  Rng rng(5);
+  const auto X = Matrix<std::int32_t>::random(8, 10, rng, -9, 9);
+  auto host_program = [&](System& sys) {
+    workloads::store_matrix(sys, sys.data_base() + 0x40000, X);
+    XProgram prog;
+    prog.xmr(0, sys.data_base() + 0x40000, X.shape(), ElemType::kWord);
+    prog.xmr(1, sys.data_base() + 0x48000, MatShape{8, 10, 10},
+             ElemType::kWord);
+    prog.leaky_relu(1, 0, 1, ElemType::kWord);
+    prog.halt();
+    sys.load_program(prog.finish());
+  };
+  // When the host kernel retires, measured on its own.
+  System solo(sched_config(MemBackendKind::kBurstPsram, 4));
+  host_program(solo);
+  solo.run();
+  const Cycle host_done = solo.runtime().last_completion();
+  ASSERT_GT(host_done, 1u);
+
+  System sys(sched_config(MemBackendKind::kBurstPsram, 4));
+  auto& sch = sys.scheduler();
+  const unsigned t0 = sch.add_tenant("t");
+  const Addr base = sys.data_base() + 0x10000;
+  sched::place_scaling_probe_data(sys, base, rng);
+  sch.submit(t0, sched::scaling_probe_job(base), host_done - 1);
+  host_program(sys);
+  EXPECT_THROW(sys.run(), Error);
+
+  // The rejected dispatch holds nothing: host offloads still run.
+  host_program(sys);
+  EXPECT_NO_THROW(sys.run());
+  EXPECT_EQ(sys.runtime().phases().kernels_executed, 2u);
+}
+
 TEST(SchedDeterminismTest, RepeatedRunsAreBitIdentical) {
   auto run = [](SchedPolicy policy) {
     System sys(sched_config(MemBackendKind::kDramTiming, 4, policy));
