@@ -33,7 +33,6 @@
 #include "grid.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/critical_path.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/perfetto.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -67,7 +66,7 @@ class WallTimer {
 class Row {
  public:
   Row& str(const std::string& key, const std::string& v) {
-    fields_.emplace_back(key, "\"" + escape(v) + "\"");
+    fields_.emplace_back(key, "\"" + json_escape(v) + "\"");
     return *this;
   }
   Row& num(const std::string& key, double v) {
@@ -88,7 +87,7 @@ class Row {
     std::string out = "{";
     for (std::size_t i = 0; i < fields_.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "\"" + escape(fields_[i].first) + "\": " + fields_[i].second;
+      out += "\"" + json_escape(fields_[i].first) + "\": " + fields_[i].second;
     }
     return out + "}";
   }
@@ -109,7 +108,7 @@ class Report {
 
   void print() const {
     std::printf("{\"schema_version\": 2, \"bench\": \"%s\", \"rows\": [\n",
-                escape(bench_).c_str());
+                json_escape(bench_).c_str());
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       std::printf("  %s%s\n", rows_[i].json().c_str(),
                   i + 1 < rows_.size() ? "," : "");
@@ -147,18 +146,15 @@ class TelemetryCollector {
   /// consumed by `trace_summary.py --critical-path`).
   void collect(const std::string& run, const telemetry::SpanTracer& spans,
                const telemetry::Registry& reg,
-               const telemetry::FlightRecorder& flight,
                const telemetry::OpLog* oplog = nullptr) {
     spans_recorded_ += spans.size();
     spans_dropped_ += spans.dropped();
     if (tracing()) trace_.add_process(run, spans);
     if (!metrics_out_.empty()) {
       std::ostringstream os;
-      os << (first_run_ ? "" : ",\n") << "  {\"run\": \"" << escape(run)
+      os << (first_run_ ? "" : ",\n") << "  {\"run\": \"" << json_escape(run)
          << "\", \"metrics\": ";
       reg.write_json(os);
-      os << ", \"flight\": ";
-      flight.write_json(os);
       if (oplog != nullptr && oplog->enabled()) {
         os << ", \"critical_paths\": ";
         telemetry::CriticalPath::write_json(
@@ -189,7 +185,7 @@ class TelemetryCollector {
     if (!metrics_out_.empty()) {
       std::ofstream out(metrics_out_);
       if (out) {
-        out << "{\"bench\": \"" << escape(bench) << "\", \"runs\": [\n"
+        out << "{\"bench\": \"" << json_escape(bench) << "\", \"runs\": [\n"
             << runs_ << "\n]}\n";
       }
       if (!out) {

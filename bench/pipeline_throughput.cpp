@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
         .num("hazard_deferrals", r.sched.hazard_deferrals)
         .num("host_wall_ms", r.host_wall_ms)
         .num("telemetry_spans_recorded", r.spans_recorded)
-        .num("telemetry_spans_dropped", r.spans_dropped)
-        .num("telemetry_series_truncated", r.series_truncated);
+        .num("telemetry_spans_dropped", r.spans_dropped);
     benchjson::add_stall_fields(row, r.all.stalls);
     if (human) {
       std::printf(

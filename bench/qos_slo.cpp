@@ -152,8 +152,7 @@ void emit(benchjson::Report& report, bool human, Section section,
       .num("p99_latency_cycles", static_cast<std::uint64_t>(tr.p99))
       .num("host_wall_ms", r.host_wall_ms)
       .num("telemetry_spans_recorded", r.spans_recorded)
-      .num("telemetry_spans_dropped", r.spans_dropped)
-      .num("telemetry_series_truncated", r.series_truncated);
+      .num("telemetry_spans_dropped", r.spans_dropped);
   benchjson::add_stall_fields(row, tr.stalls);
   if (human) {
     std::printf(

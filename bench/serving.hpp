@@ -12,8 +12,8 @@
 //    lock-step) or closed loop (`window` jobs in flight per tenant, the
 //    next submitted when one completes);
 //  * deadline / shed-on-expiry decoration of every job;
-//  * per-tenant and aggregate results from the scheduler, the admission
-//    controller and the sched.*job_latency registry series.
+//  * per-tenant and aggregate results from the scheduler and the admission
+//    controller; p50/p99 latency over the completed-job reports.
 //
 // A new arrival process goes here, not into a fourth bench.
 #ifndef ARCANE_BENCH_SERVING_HPP_
@@ -76,7 +76,6 @@ struct Result {
   std::uint64_t faults_injected = 0;
   std::uint64_t spans_recorded = 0;  // telemetry_* informational fields
   std::uint64_t spans_dropped = 0;
-  std::uint64_t series_truncated = 0;
   std::vector<TenantResult> tenants;
   TenantResult all;
   std::vector<sched::JobReport> completed;
@@ -92,6 +91,15 @@ struct Result {
 /// num / den, or 0 when den is 0.
 inline double ratio(std::uint64_t num, std::uint64_t den) {
   return den ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+}
+
+/// The floor-index order statistic every latency row reports: ascending
+/// sort, then sorted[size_t(q * (n - 1))]; 0 when empty.
+inline Cycle percentile(std::vector<Cycle> samples, double q) {
+  if (samples.empty()) return 0;
+  std::sort(samples.begin(), samples.end());
+  return samples[static_cast<std::size_t>(
+      q * static_cast<double>(samples.size() - 1))];
 }
 
 constexpr const char* priority_name(unsigned p) {
@@ -191,15 +199,13 @@ inline Result run(const SystemConfig& cfg, const Load& load,
   if (sys.injector() != nullptr) {
     r.faults_injected = sys.injector()->stats().injected;
   }
-  // The latency series hold exactly the completed jobs' latencies, and
-  // Series::percentile is the floor-index order statistic
-  // sorted[size_t(q * (n - 1))] every latency row reports.
-  const auto percentiles = [&r](const telemetry::Series* lat,
-                                TenantResult& tr) {
-    tr.p50 = lat->percentile(0.5);
-    tr.p99 = lat->percentile(0.99);
-    r.series_truncated += lat->truncated();
-  };
+  r.completed = sch.completed();
+  std::vector<std::vector<Cycle>> latency(tenants);
+  std::vector<Cycle> all_latency;
+  for (const sched::JobReport& rep : r.completed) {
+    latency[rep.tenant].push_back(rep.latency());
+    all_latency.push_back(rep.latency());
+  }
   r.tenants.resize(tenants);
   TenantResult& all = r.all;
   for (unsigned t = 0; t < tenants; ++t) {
@@ -221,9 +227,8 @@ inline Result run(const SystemConfig& cfg, const Load& load,
     tr.retries = ts.retries;
     tr.failovers = ts.failovers;
     tr.stalls = sch.tenant_stalls(t);
-    percentiles(sys.metrics().find_series("sched.tenant" + std::to_string(t) +
-                                          ".job_latency"),
-                tr);
+    tr.p50 = percentile(latency[t], 0.5);
+    tr.p99 = percentile(latency[t], 0.99);
 
     all.offered += tr.offered;
     all.accepted += tr.accepted;
@@ -238,13 +243,12 @@ inline Result run(const SystemConfig& cfg, const Load& load,
     all.failovers += tr.failovers;
   }
   all.stalls = sys.stall_totals();
-  percentiles(sys.metrics().find_series("sched.job_latency"), all);
-  r.completed = sch.completed();
+  all.p50 = percentile(all_latency, 0.5);
+  all.p99 = percentile(all_latency, 0.99);
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
   if (telem != nullptr) {
-    telem->collect(run_name, sys.spans(), sys.metrics(),
-                   sys.flight_recorder(), &sys.op_log());
+    telem->collect(run_name, sys.spans(), sys.metrics(), &sys.op_log());
   }
   r.host_wall_ms = timer.ms();
   return r;

@@ -3,19 +3,19 @@
 # have a perf trajectory to regress against.  See docs/BENCHMARKS.md for the
 # schema and the bench -> paper figure/table mapping.
 #
-# Benches are run in native --json mode (schema v2): each binary prints
-# parsed {case, ...metric} rows which land in the artifact's "rows" field.
-# micro_components (Google Benchmark) has no --json; its stdout is captured
-# line-by-line instead.
+# Every schema-v2 bench runs through scripts/sweep_runner.py, which owns
+# the bench list (BENCHES) and writes each artifact: the bench's parsed
+# {case, ...metric} rows land in the artifact's "rows" field.
+# micro_components (Google Benchmark) has no --json or grid; it runs last,
+# with its stdout captured line-by-line.
 #
 # Usage:
 #   scripts/run_benches.sh [--parallel[=N]] [BUILD_DIR] [OUT_DIR]
 #
 #   --parallel[=N]  shard every schema-v2 bench's sweep grid across N
-#                   worker processes (default: nproc) via
-#                   scripts/sweep_runner.py; the merged artifacts are
-#                   byte-compatible with a serial run. micro_components
-#                   stays serial (no grid).
+#                   worker processes (default: nproc); without it the
+#                   sweep runs on one worker. The artifacts are the same
+#                   either way.
 #   BUILD_DIR       cmake build tree with bench/ binaries (default: build)
 #   OUT_DIR         where to write <bench>.json artifacts (default:
 #                   bench-out)
@@ -34,14 +34,14 @@
 #   ARCANE_BENCH_DETERMINISTIC=1   zero the wall-clock trend fields
 set -u
 
-PARALLEL=""
+JOBS=1
 case "${1:-}" in
   --parallel)
-    PARALLEL="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
+    JOBS="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
     shift
     ;;
   --parallel=*)
-    PARALLEL="${1#--parallel=}"
+    JOBS="${1#--parallel=}"
     shift
     ;;
 esac
@@ -63,85 +63,40 @@ fi
 
 mkdir -p "${OUT_DIR}"
 
-# bench binary -> what it reproduces (kept in sync with docs/BENCHMARKS.md
-# and the BENCHES list in scripts/sweep_runner.py).
-benches=(
-  "fig2_area_split:Figure 2 (area split)"
-  "fig3_phase_overhead:Figure 3 (non-compute phase overhead)"
-  "fig4_speedup:Figure 4 (conv-layer speedup)"
-  "table1_kernel_catalogue:Table I (xmnmc kernel catalogue)"
-  "table2_synthesis_area:Table II (synthesis area)"
-  "sec5c_state_of_the_art:Section V-C (state-of-the-art comparison)"
-  "pipeline_throughput:Scheduler (multi-tenant requests/sec + job latency)"
-  "qos_slo:QoS (admission control: goodput, drop rate, SLO attainment)"
-  "fault_recovery:Fault injection (availability, goodput retention, recovery time)"
-  "sim_throughput:Host simulator (simulated cycles & kernel ops per host second)"
-  "ablation_crt:Ablation (C-RT / datapath design choices)"
-  "ablation_replacement:Ablation (LLC replacement policy)"
-  "micro_components:Micro (simulator component throughput)"
-)
-
 failures=0
-ran=0
-
-if [ -n "${PARALLEL}" ]; then
-  # Sharded path: every schema-v2 bench through the sweep runner in one
-  # shot (it writes the same artifact envelope this script does).
-  sweep_args=(--build-dir "${BUILD_DIR}" --out-dir "${OUT_DIR}"
-              --jobs "${PARALLEL}")
-  if [ "${FAST}" = "1" ]; then
-    sweep_args+=(--fast)
-  fi
-  echo "run: sharded sweep (${PARALLEL} workers)"
-  if python3 "$(dirname "$0")/sweep_runner.py" "${sweep_args[@]}"; then
-    ran=12
-  else
-    ran=12
-    failures=$((failures + 1))
-  fi
-  benches=("micro_components:Micro (simulator component throughput)")
+sweep_args=(--build-dir "${BUILD_DIR}" --out-dir "${OUT_DIR}"
+            --jobs "${JOBS}")
+if [ "${FAST}" = "1" ]; then
+  sweep_args+=(--fast)
+fi
+echo "run: sweep (${JOBS} worker(s))"
+if ! python3 "$(dirname "$0")/sweep_runner.py" "${sweep_args[@]}"; then
+  failures=$((failures + 1))
 fi
 
-for entry in "${benches[@]}"; do
-  name="${entry%%:*}"
-  reproduces="${entry#*:}"
-  bin="${BUILD_DIR}/bench/${name}"
-  if [ ! -x "${bin}" ]; then
-    # micro_components is optional (needs Google Benchmark); every other
-    # bench missing from the build tree is an error, not a skip.
-    if [ "${name}" = "micro_components" ]; then
-      echo "skip: ${name} (binary not built)"
-    else
-      echo "FAIL: ${name} (binary not built)" >&2
-      failures=$((failures + 1))
-    fi
-    continue
-  fi
-
+name="micro_components"
+bin="${BUILD_DIR}/bench/${name}"
+if [ ! -x "${bin}" ]; then
+  # Optional: needs Google Benchmark.
+  echo "skip: ${name} (binary not built)"
+else
   args=()
-  native_json=1
-  if [ "${name}" = "micro_components" ]; then
-    native_json=0
-    if [ "${FAST}" = "1" ]; then
-      args=(--benchmark_min_time=0.01)
-    fi
-  else
-    args=(--json)
+  if [ "${FAST}" = "1" ]; then
+    args=(--benchmark_min_time=0.01)
   fi
 
   echo "run: ${name}"
   stdout_file="$(mktemp)"
   # time via python: BSD date lacks %N, and bash 3.2 + set -u rejects
-  # empty-array expansion, hence the ${arr[@]+...} guards below.
+  # empty-array expansion, hence the ${arr[@]+...} guard below.
   start="$(python3 -c 'import time; print(time.time())')"
   "${bin}" ${args[@]+"${args[@]}"} >"${stdout_file}" 2>&1
   exit_code=$?
   end="$(python3 -c 'import time; print(time.time())')"
 
-  if ! BENCH_NAME="${name}" BENCH_REPRODUCES="${reproduces}" \
-       BENCH_EXIT="${exit_code}" BENCH_START="${start}" BENCH_END="${end}" \
+  # The envelope fields mirror scripts/sweep_runner.py's artifacts.
+  if ! BENCH_EXIT="${exit_code}" BENCH_START="${start}" BENCH_END="${end}" \
        BENCH_STDOUT="${stdout_file}" BENCH_FAST="${FAST}" \
-       BENCH_NATIVE_JSON="${native_json}" \
        BENCH_BACKEND="${ARCANE_BENCH_BACKEND:-}" \
        BENCH_ELISION="${ARCANE_BENCH_ELISION:-}" \
        BENCH_LANES="${ARCANE_BENCH_LANES:-}" \
@@ -154,8 +109,8 @@ with open(os.environ["BENCH_STDOUT"], errors="replace") as f:
     text = f.read()
 envelope = {
     "schema_version": 2,
-    "bench": os.environ["BENCH_NAME"],
-    "reproduces": os.environ["BENCH_REPRODUCES"],
+    "bench": "micro_components",
+    "reproduces": "Micro (simulator component throughput)",
     "fast_mode": os.environ["BENCH_FAST"] == "1",
     "backend": os.environ["BENCH_BACKEND"] or None,
     "elision": os.environ["BENCH_ELISION"] or None,
@@ -166,17 +121,8 @@ envelope = {
     "exit_code": int(os.environ["BENCH_EXIT"]),
     "wall_seconds": round(
         float(os.environ["BENCH_END"]) - float(os.environ["BENCH_START"]), 3),
+    "stdout": text.splitlines(),
 }
-rows = None
-if os.environ["BENCH_NATIVE_JSON"] == "1" and envelope["exit_code"] == 0:
-    try:
-        rows = json.loads(text).get("rows")
-    except ValueError:
-        pass  # fall back to raw stdout capture below
-if rows is not None:
-    envelope["rows"] = rows
-else:
-    envelope["stdout"] = text.splitlines()
 json.dump(envelope, sys.stdout, indent=2)
 sys.stdout.write("\n")
 PY
@@ -185,14 +131,12 @@ PY
     failures=$((failures + 1))
   fi
   rm -f "${stdout_file}"
-
-  ran=$((ran + 1))
   if [ "${exit_code}" -ne 0 ]; then
     echo "FAIL: ${name} (exit ${exit_code})" >&2
     failures=$((failures + 1))
   fi
-done
+fi
 
 echo
-echo "wrote ${ran} artifacts to ${OUT_DIR}/ (${failures} failures)"
+echo "wrote artifacts to ${OUT_DIR}/ (${failures} failures)"
 [ "${failures}" -eq 0 ]

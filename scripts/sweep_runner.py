@@ -5,8 +5,8 @@ Every schema-v2 bench binary declares its sweep as an enumerable grid of
 cells (bench/grid.hpp): `--list-cells` prints the stable cell ids and
 `--cell=<id>` runs exactly one cell. This runner enumerates each bench's
 grid, fans the cells out across N worker processes, and merges the
-per-cell `--json` fragments back into one artifact per bench with the
-exact envelope scripts/run_benches.sh writes — consumed unchanged by
+per-cell `--json` fragments back into one artifact per bench — the
+artifacts scripts/run_benches.sh produces, consumed unchanged by
 scripts/check_bench_regression.py.
 
 The merge is textual, not a JSON round-trip: a bench emits the rows of
@@ -40,10 +40,10 @@ import sys
 import time
 from pathlib import Path
 
-# bench binary -> what it reproduces. Kept in sync with
-# scripts/run_benches.sh and docs/BENCHMARKS.md; micro_components (Google
-# Benchmark, no --json / grid) is deliberately absent — run_benches.sh
-# keeps running it serially.
+# bench binary -> what it reproduces: the one bench list (scripts/
+# run_benches.sh runs every bench through this runner; docs/BENCHMARKS.md
+# maps them to the paper). micro_components (Google Benchmark, no --json /
+# grid) is deliberately absent — run_benches.sh runs it itself.
 BENCHES = [
     ("fig2_area_split", "Figure 2 (area split)"),
     ("fig3_phase_overhead", "Figure 3 (non-compute phase overhead)"),
@@ -62,7 +62,8 @@ BENCHES = [
     ("ablation_replacement", "Ablation (LLC replacement policy)"),
 ]
 
-# Envelope fields mirroring run_benches.sh (sourced from the same env).
+# Envelope fields sourced from the bench env knobs (run_benches.sh's
+# micro_components envelope mirrors them).
 ENV_KNOBS = (
     ("backend", "ARCANE_BENCH_BACKEND"),
     ("elision", "ARCANE_BENCH_ELISION"),

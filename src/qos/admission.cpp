@@ -61,12 +61,12 @@ void AdmissionController::register_tenant_metrics(unsigned tenant) {
 }
 
 std::uint64_t AdmissionController::outstanding(unsigned tenant) const {
-  const TenantState& st = tenants_[tenant];
+  const std::uint64_t admitted = tenants_[tenant].stats.jobs_accepted;
   const sim::TenantStats& ts = sch_->tenant_stats(tenant);
   const std::uint64_t resolved =
       ts.jobs_completed + ts.jobs_dropped + ts.jobs_failed;
-  ARCANE_ASSERT(st.admitted >= resolved, "admission accounting underflow");
-  return st.admitted - resolved;
+  ARCANE_ASSERT(admitted >= resolved, "admission accounting underflow");
+  return admitted - resolved;
 }
 
 void AdmissionController::submit(unsigned tenant, sched::JobSpec job,
@@ -97,7 +97,6 @@ void AdmissionController::decide(unsigned tenant, sched::JobSpec job,
     // how deep the uncontrolled backlog grew.
     const std::uint64_t out = outstanding(tenant);
     ++qs.jobs_accepted;
-    ++st.admitted;
     qs.max_outstanding = std::max(qs.max_outstanding, out + 1);
     sch_->submit(tenant, std::move(job), now);
     return;
@@ -150,7 +149,6 @@ void AdmissionController::decide(unsigned tenant, sched::JobSpec job,
   job.shed_on_expiry =
       cfg_->deadline_policy == DeadlinePolicy::kDropOnExpiry;
   ++qs.jobs_accepted;
-  ++st.admitted;
   qs.max_outstanding = std::max(qs.max_outstanding, out + 1);
   if (spans_ != nullptr) {
     spans_->instant(telemetry::track_tenant(tenant), "qos.admit", now,

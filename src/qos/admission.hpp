@@ -125,7 +125,8 @@ class AdmissionController {
   /// happens at admission time inside the scheduler.
   void submit(unsigned tenant, sched::JobSpec job, Cycle arrival);
 
-  /// Run the event queue dry; every admitted job completes or is shed.
+  /// Run the event queue dry; every admitted job completes, is shed or
+  /// fails.
   void drain() { sch_->drain(); }
 
   /// Wire into the System's telemetry: per-tenant QosTenantStats become
@@ -136,7 +137,7 @@ class AdmissionController {
   unsigned num_tenants() const {
     return static_cast<unsigned>(tenants_.size());
   }
-  /// Jobs admitted but not yet completed or shed.
+  /// Jobs admitted but not yet completed, shed or failed.
   std::uint64_t outstanding(unsigned tenant) const;
   const TenantQos& tenant_spec(unsigned tenant) const {
     return tenants_[tenant].spec;
@@ -152,7 +153,6 @@ class AdmissionController {
   struct TenantState {
     TenantQos spec;
     TokenBucket bucket;
-    std::uint64_t admitted = 0;
     sim::QosTenantStats stats;
   };
 

@@ -70,10 +70,8 @@ unsigned Scheduler::add_tenant(std::string name, unsigned priority) {
   return t;
 }
 
-void Scheduler::set_telemetry(telemetry::Registry* reg,
-                              telemetry::FlightRecorder* flight) {
+void Scheduler::set_telemetry(telemetry::Registry* reg) {
   metrics_ = reg;
-  flight_ = flight;
   if (reg == nullptr) return;
   auto bind = [&](const char* name, const std::uint64_t& field) {
     reg->bind(name, [&field] { return field; });
@@ -93,7 +91,6 @@ void Scheduler::set_telemetry(telemetry::Registry* reg,
   bind("sched.quarantines", stats_.quarantines);
   bind("sched.total_queue_wait", stats_.total_queue_wait);
   bind("sched.makespan", stats_.makespan);
-  latency_all_ = &reg->series("sched.job_latency");
   for (unsigned t = 0; t < num_tenants(); ++t) register_tenant_metrics(t);
 }
 
@@ -125,8 +122,6 @@ void Scheduler::register_tenant_metrics(unsigned tenant) {
       return tenant_stall_[tenant].cycles[i];
     });
   }
-  if (latency_tenant_.size() <= tenant) latency_tenant_.resize(tenant + 1);
-  latency_tenant_[tenant] = &metrics_->series(p + "job_latency");
 }
 
 std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
@@ -274,10 +269,10 @@ unsigned Scheduler::pick_park_instance(int avoid) const {
 
 void Scheduler::shed_expired(Cycle t) {
   if (shed_armed_ == 0) return;  // no open job can expire: free fast path
-  // Collect first: drop_job mutates every queue. A job whose remaining ops
-  // are all waiting on in-flight dependencies has no queued entry yet; it
-  // is caught here on the completion event that readies them, before any
-  // dispatch.
+  // Collect first: cancel_open_ops mutates every queue. A job whose
+  // remaining ops are all waiting on in-flight dependencies has no queued
+  // entry yet; it is caught here on the completion event that readies them,
+  // before any dispatch.
   std::vector<std::uint32_t> expired;
   for (const ReadyQueue& q : queues_) {
     for (const ReadyEntry& e : q.entries()) {
@@ -289,12 +284,15 @@ void Scheduler::shed_expired(Cycle t) {
   }
   std::sort(expired.begin(), expired.end());
   expired.erase(std::unique(expired.begin(), expired.end()), expired.end());
-  for (std::uint32_t job_idx : expired) drop_job(job_idx, t);
+  for (std::uint32_t job_idx : expired) {
+    cancel_open_ops(job_idx);
+    resolve(job_idx, Outcome::kShed, t);
+  }
 }
 
-void Scheduler::drop_job(std::uint32_t job_idx, Cycle t) {
+unsigned Scheduler::cancel_open_ops(std::uint32_t job_idx) {
   JobState& js = jobs_[job_idx];
-  ARCANE_ASSERT(!js.dropped, "job dropped twice");
+  ARCANE_ASSERT(!js.dropped, "job resolved twice");
   js.dropped = true;
   for (ReadyQueue& q : queues_) {
     q.erase_if([job_idx](const ReadyEntry& e) { return e.job == job_idx; });
@@ -306,29 +304,65 @@ void Scheduler::drop_job(std::uint32_t job_idx, Cycle t) {
   for (const InFlight& fl : inflight_) {
     if (fl.valid && fl.job == job_idx) ++inflight_ops;
   }
-  ARCANE_ASSERT(js.ops_left >= inflight_ops, "drop accounting underflow");
-  stats_.ops_cancelled += js.ops_left - inflight_ops;
+  ARCANE_ASSERT(js.ops_left >= inflight_ops, "cancel accounting underflow");
+  const unsigned cancelled = js.ops_left - inflight_ops;
+  stats_.ops_cancelled += cancelled;
   js.ops_left = inflight_ops;
-  ++stats_.jobs_dropped;
-  ++tenant_stats_[js.tenant].jobs_dropped;
-  ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
-  --shed_armed_;
-  shed_.push_back(JobReport{js.id, js.tenant, js.arrival, js.first_dispatch,
-                            t, js.deadline, js.tag, /*dropped=*/true,
-                            /*failed=*/false, js.retries, js.failovers});
+  return cancelled;
+}
+
+void Scheduler::resolve(std::uint32_t job_idx, Outcome outcome, Cycle t) {
+  JobState& js = jobs_[job_idx];
+  sim::TenantStats& ts = tenant_stats_[js.tenant];
+  const JobReport rep{js.id, js.tenant, js.arrival, js.first_dispatch,
+                      t, js.deadline, js.tag,
+                      /*dropped=*/outcome == Outcome::kShed,
+                      /*failed=*/outcome == Outcome::kFailed,
+                      js.retries, js.failovers};
+  const char* span = "job";
+  auto span_arg = static_cast<std::int64_t>(js.deadline);
+  switch (outcome) {
+    case Outcome::kCompleted:
+      ++stats_.jobs_completed;
+      stats_.makespan = std::max(stats_.makespan, t);
+      ++ts.jobs_completed;
+      ts.total_job_latency += t - js.arrival;
+      ts.last_completion = std::max(ts.last_completion, t);
+      if (js.deadline != 0 && t > js.deadline) {
+        ++ts.deadline_misses;
+        ++stats_.deadline_misses;
+      } else {
+        ++ts.jobs_on_time;
+      }
+      completed_.push_back(rep);
+      break;
+    case Outcome::kShed:
+      ++stats_.jobs_dropped;
+      ++ts.jobs_dropped;
+      shed_.push_back(rep);
+      span = "job.shed";
+      break;
+    case Outcome::kFailed:
+      ++stats_.jobs_failed;
+      ++ts.jobs_failed;
+      failed_.push_back(rep);
+      span = "job.fail";
+      span_arg = js.retries;
+      break;
+  }
+  if (js.shed_on_expiry) {
+    ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
+    --shed_armed_;
+  }
   ARCANE_ASSERT(jobs_open_ > 0, "job accounting underflow");
   --jobs_open_;
   if (ctx_->spans != nullptr) {
-    ctx_->spans->span(telemetry::track_tenant(js.tenant), "job.shed",
-                      js.arrival, t, static_cast<std::int32_t>(js.tenant),
-                      static_cast<std::int64_t>(js.id),
-                      static_cast<std::int64_t>(js.deadline));
+    ctx_->spans->span(telemetry::track_tenant(js.tenant), span, js.arrival, t,
+                      static_cast<std::int32_t>(js.tenant),
+                      static_cast<std::int64_t>(js.id), span_arg);
   }
-  if (flight_ != nullptr) {
-    flight_->record({js.id, static_cast<std::int32_t>(js.tenant), js.arrival,
-                     js.first_dispatch, t, js.deadline, /*dropped=*/true});
-  }
-  if (on_job_done_) on_job_done_(shed_.back());
+  // Last: the observer may submit, which grows jobs_ and invalidates js.
+  if (on_job_done_) on_job_done_(rep);
 }
 
 void Scheduler::try_dispatch(Cycle t) {
@@ -613,45 +647,7 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   for (unsigned w : js.dag->complete(fl.op)) op_ready(fl.job, w, t);
 
   ARCANE_ASSERT(js.ops_left > 0, "job op accounting underflow");
-  if (--js.ops_left == 0) {
-    if (js.shed_on_expiry) {
-      ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
-      --shed_armed_;
-    }
-    ++stats_.jobs_completed;
-    stats_.makespan = std::max(stats_.makespan, t);
-    sim::TenantStats& ts = tenant_stats_[js.tenant];
-    ++ts.jobs_completed;
-    ts.total_job_latency += t - js.arrival;
-    ts.last_completion = std::max(ts.last_completion, t);
-    if (js.deadline != 0 && t > js.deadline) {
-      ++ts.deadline_misses;
-      ++stats_.deadline_misses;
-    } else {
-      ++ts.jobs_on_time;
-    }
-    completed_.push_back(JobReport{js.id, js.tenant, js.arrival,
-                                   js.first_dispatch, t, js.deadline, js.tag,
-                                   /*dropped=*/false, /*failed=*/false,
-                                   js.retries, js.failovers});
-    ARCANE_ASSERT(jobs_open_ > 0, "job accounting underflow");
-    --jobs_open_;
-    if (latency_all_ != nullptr) {
-      latency_all_->record(t - js.arrival);
-      latency_tenant_[js.tenant]->record(t - js.arrival);
-    }
-    if (ctx_->spans != nullptr) {
-      ctx_->spans->span(telemetry::track_tenant(js.tenant), "job", js.arrival,
-                        t, static_cast<std::int32_t>(js.tenant),
-                        static_cast<std::int64_t>(js.id),
-                        static_cast<std::int64_t>(js.deadline));
-    }
-    if (flight_ != nullptr) {
-      flight_->record({js.id, static_cast<std::int32_t>(js.tenant), js.arrival,
-                       js.first_dispatch, t, js.deadline, /*dropped=*/false});
-    }
-    if (on_job_done_) on_job_done_(completed_.back());
-  }
+  if (--js.ops_left == 0) resolve(fl.job, Outcome::kCompleted, t);
   try_dispatch(t);
 }
 
@@ -740,7 +736,7 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
   JobState& js = jobs_[job_idx];
   if (js.dropped) {
     // Shed (or failed via a sibling op) during the backoff window: the op
-    // was already cancelled by drop_job/fail_job.
+    // was already cancelled by cancel_open_ops.
     try_dispatch(t);
     return;
   }
@@ -768,45 +764,12 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
 }
 
 void Scheduler::fail_job(std::uint32_t job_idx, Cycle t) {
-  JobState& js = jobs_[job_idx];
-  ARCANE_ASSERT(!js.dropped, "failed job already resolved");
-  js.dropped = true;  // reuse the shed paths: in-flight siblings complete
-                      // without waking waiters or completing the job
-  js.failed = true;
-  for (ReadyQueue& q : queues_) {
-    q.erase_if([job_idx](const ReadyEntry& e) { return e.job == job_idx; });
-  }
-  unsigned inflight_ops = 0;
-  for (const InFlight& fl : inflight_) {
-    if (fl.valid && fl.job == job_idx) ++inflight_ops;
-  }
   // The exhausted op itself counts as cancelled (dispatched attempts, no
-  // completion), hence strictly more ops left than in flight.
-  ARCANE_ASSERT(js.ops_left > inflight_ops, "fail accounting underflow");
-  stats_.ops_cancelled += js.ops_left - inflight_ops;
-  js.ops_left = inflight_ops;
-  ++stats_.jobs_failed;
-  ++tenant_stats_[js.tenant].jobs_failed;
-  if (js.shed_on_expiry) {
-    ARCANE_ASSERT(shed_armed_ > 0, "shed-armed accounting underflow");
-    --shed_armed_;
-  }
-  failed_.push_back(JobReport{js.id, js.tenant, js.arrival, js.first_dispatch,
-                              t, js.deadline, js.tag, /*dropped=*/false,
-                              /*failed=*/true, js.retries, js.failovers});
-  ARCANE_ASSERT(jobs_open_ > 0, "job accounting underflow");
-  --jobs_open_;
-  if (ctx_->spans != nullptr) {
-    ctx_->spans->span(telemetry::track_tenant(js.tenant), "job.fail",
-                      js.arrival, t, static_cast<std::int32_t>(js.tenant),
-                      static_cast<std::int64_t>(js.id),
-                      static_cast<std::int64_t>(js.retries));
-  }
-  if (flight_ != nullptr) {
-    flight_->record({js.id, static_cast<std::int32_t>(js.tenant), js.arrival,
-                     js.first_dispatch, t, js.deadline, /*dropped=*/true});
-  }
-  if (on_job_done_) on_job_done_(failed_.back());
+  // completion), hence strictly more ops left than in flight. In-flight
+  // siblings complete without waking waiters, as for a shed job.
+  const unsigned cancelled = cancel_open_ops(job_idx);
+  ARCANE_ASSERT(cancelled > 0, "fail accounting underflow");
+  resolve(job_idx, Outcome::kFailed, t);
 }
 
 void Scheduler::note_op_outcome(unsigned inst, bool ok, Cycle t) {

@@ -39,7 +39,6 @@
 #include "sched/ready_queue.hpp"
 #include "sim/stats.hpp"
 #include "telemetry/critical_path.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
 
 namespace arcane::sched {
@@ -96,7 +95,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// planner). Returns the job id.
   std::uint64_t submit(unsigned tenant, JobSpec job, Cycle arrival);
 
-  /// Run the event queue dry; every submitted job completes.
+  /// Run the event queue dry; every submitted job resolves exactly once
+  /// (completed, shed or failed).
   void drain();
 
   unsigned num_instances() const {
@@ -148,21 +148,17 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Jobs failed on retry exhaustion (src/fault/), in failure order.
   const std::vector<JobReport>& failed() const { return failed_; }
 
-  /// Wire the scheduler into the System's telemetry: SchedStats fields
-  /// become `sched.*` registry views, job latencies are recorded into
-  /// `sched.job_latency` / `sched.tenant<i>.job_latency` Series (the exact
-  /// sample sets behind completed()), and every resolved job lands in the
-  /// flight recorder. Either pointer may be null.
-  void set_telemetry(telemetry::Registry* reg,
-                     telemetry::FlightRecorder* flight);
+  /// Wire the scheduler into the System's telemetry: SchedStats and
+  /// TenantStats fields become `sched.*` registry views. `reg` may be null.
+  void set_telemetry(telemetry::Registry* reg);
 
   /// Record one telemetry::OpTiming per retired op into `log` (owned by the
   /// System). The log is consulted only at completion events and only when
   /// enabled, so critical-path capture never perturbs simulated timing.
   void set_op_log(telemetry::OpLog* log) { op_log_ = log; }
 
-  /// Observer invoked once per resolved job (completed or dropped), after
-  /// its report is recorded and before the dispatch scan — the hook
+  /// Observer invoked once per resolved job (completed, shed or failed),
+  /// after its report is recorded and before the dispatch scan — the hook
   /// closed-loop load generators use to submit the next request. The
   /// callback may submit (directly or through qos::AdmissionController);
   /// it must not call drain().
@@ -207,8 +203,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
     unsigned ops_left = 0;
     bool dispatched_any = false;
     bool shed_on_expiry = false;
-    bool dropped = false;
-    bool failed = false;      // retry exhaustion (implies dropped handling)
+    bool dropped = false;     // shed or failed: open ops were cancelled
     unsigned retries = 0;     // op re-dispatches across this job
     unsigned failovers = 0;   // retries that landed on another instance
     std::vector<OpState> ops;
@@ -242,9 +237,18 @@ class Scheduler final : public crt::KernelExecutor::Client,
 
   void arrive(std::uint32_t job_idx, Cycle t);
   void op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t);
-  /// Drop every queued job whose deadline expired (shed_on_expiry only).
+  /// Shed every queued job whose deadline expired (shed_on_expiry only).
   void shed_expired(Cycle t);
-  void drop_job(std::uint32_t job_idx, Cycle t);
+  /// How a job leaves the scheduler.
+  enum class Outcome { kCompleted, kShed, kFailed };
+  /// The one resolution step: the outcome's counters and JobReport list,
+  /// the shed-armed and open-job counts, the job span, then the
+  /// on_job_done observer.
+  void resolve(std::uint32_t job_idx, Outcome outcome, Cycle t);
+  /// Mark a job shed or failed before resolve(): erase its queued entries
+  /// and count every op not on an instance as cancelled. In-flight ops run
+  /// to completion and wake no waiters. Returns the cancelled op count.
+  unsigned cancel_open_ops(std::uint32_t job_idx);
   /// Fill every idle instance from its ready queue (policy + hazard check).
   void try_dispatch(Cycle t);
   void dispatch(unsigned inst, const ReadyEntry& e, Cycle t);
@@ -272,8 +276,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// (idempotent — AT registration and operand reload re-run at dispatch).
   void requeue_op(std::uint32_t job_idx, unsigned op_idx, unsigned prev_inst,
                   Cycle t);
-  /// Retry exhaustion: resolve the job as failed (dropped-style handling —
-  /// in-flight siblings complete without waking waiters).
+  /// Retry exhaustion: cancel the job's open ops and resolve it failed.
   void fail_job(std::uint32_t job_idx, Cycle t);
   /// Record an op outcome for `inst`'s health; `ok` resets the
   /// consecutive-failure count, a failure may quarantine.
@@ -313,11 +316,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   sim::SchedStats stats_;
 
   telemetry::Registry* metrics_ = nullptr;
-  telemetry::FlightRecorder* flight_ = nullptr;
-  // Series live in the registry's node-stable map; cached pointers keep the
-  // per-completion hot path to one indexed load.
-  telemetry::Series* latency_all_ = nullptr;
-  std::vector<telemetry::Series*> latency_tenant_;
 
   /// try_dispatch's flattened (seq, spec) view of every queued entry for
   /// the older-conflict eligibility check — reused across scans so the

@@ -1,15 +1,19 @@
 // Unit tests for the declarative bench-harness API in bench/grid.hpp:
 // knob registration/parsing/rejection, env fallbacks, grid enumeration
-// (products, explicit cells, bound-knob collapse) and --cell binding.
+// (products, explicit cells, bound-knob collapse) and --cell binding, plus
+// the latency percentile rule of the serving load generator
+// (bench/serving.hpp).
 //
 // The parse-or-die wrapper (Harness::parse) exits the process on
 // rejection, so everything here drives the testable core
 // Harness::try_parse.
+#include <algorithm>
 #include <cstdlib>
 
 #include <gtest/gtest.h>
 
 #include "grid.hpp"
+#include "serving.hpp"
 
 namespace arcane::benchjson {
 namespace {
@@ -276,6 +280,20 @@ TEST_F(BenchGridTest, ReplacementKnobCoversAllPolicies) {
     ASSERT_TRUE(opt.replacement.has_value());
     EXPECT_EQ(*opt.replacement, p);
   }
+}
+
+// serving::percentile is the floor-index rule every latency row uses:
+// ascending sort, then sorted[size_t(q * (n - 1))].
+TEST(ServingPercentileTest, MatchesBenchRule) {
+  const std::vector<Cycle> values = {17, 3, 99, 3, 42, 7, 58, 1, 23, 88, 5};
+  std::vector<Cycle> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    const auto idx =
+        static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
+    EXPECT_EQ(serving::percentile(values, q), sorted[idx]) << "q=" << q;
+  }
+  EXPECT_EQ(serving::percentile({}, 0.5), 0u);  // empty -> 0
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "arcane/system.hpp"
+#include "resolution_check.hpp"
 #include "sched/job.hpp"
 #include "sched/pipelines.hpp"
 #include "sched/scheduler.hpp"
@@ -62,6 +63,7 @@ RunResult run_pipelines(System& sys, unsigned jobs) {
     sch.submit(i % 2 ? t1 : t0, sched::pipeline_job(slots[i]), i * 100);
   }
   sch.drain();
+  expect_resolved_exactly_once(sch);
   RunResult r;
   r.completed = sch.completed();
   r.makespan = sch.stats().makespan;
@@ -196,6 +198,7 @@ TEST(FaultWatchdogTest, FiresAtTheExactConfiguredCycle) {
   sched::place_pipeline_data(sys, slot, data);
   sch.submit(t0, sched::pipeline_job(slot), 0);
   sch.drain();
+  expect_resolved_exactly_once(sch);
 
   Cycle hang_at = 0, watchdog_at = 0;
   unsigned hangs = 0, fires = 0;
@@ -238,6 +241,7 @@ TEST(FaultRetryTest, ExhaustionFailsTheJobWithoutHanging) {
   sched::place_pipeline_data(sys, doomed, sched::random_pipeline_data(rng));
   sch.submit(t0, sched::pipeline_job(doomed), 0);
   sch.drain();  // must terminate
+  expect_resolved_exactly_once(sch);
 
   ASSERT_EQ(sch.failed().size(), 1u);
   const sched::JobReport& rep = sch.failed()[0];
@@ -257,6 +261,7 @@ TEST(FaultRetryTest, ExhaustionFailsTheJobWithoutHanging) {
   sched::place_pipeline_data(sys, clean, data);
   sch.submit(t0, sched::pipeline_job(clean), sys.events().now());
   sch.drain();
+  expect_resolved_exactly_once(sch);
   EXPECT_EQ(sch.stats().jobs_completed, 1u);
   const auto out = workloads::load_matrix<std::int32_t>(sys, clean.out, 4, 4);
   EXPECT_EQ(workloads::count_mismatches(out, sched::golden_pipeline(data)), 0u);

@@ -11,6 +11,7 @@
 
 #include "arcane/system.hpp"
 #include "qos/admission.hpp"
+#include "resolution_check.hpp"
 #include "sched/pipelines.hpp"
 #include "sched/scheduler.hpp"
 #include "workloads/golden.hpp"
@@ -110,6 +111,7 @@ TEST(QosCapTest, QueueDepthNeverExceedsCap) {
   // service each.
   offer_pipeline_jobs(sys, adm, 1, 16, 500);
   adm.drain();
+  expect_resolved_exactly_once(sys.scheduler());
 
   const auto& qs = adm.tenant_qos(0);
   EXPECT_EQ(qs.jobs_offered, 16u);
@@ -132,6 +134,7 @@ TEST(QosRateTest, TokenBucketLimitsAdmission) {
   // the t=0 burst plus the refill at t=8000 — exactly 2 jobs.
   offer_pipeline_jobs(sys, adm, 1, 12, 1000);
   adm.drain();
+  expect_resolved_exactly_once(sys.scheduler());
 
   const auto& qs = adm.tenant_qos(0);
   EXPECT_EQ(qs.jobs_accepted, 2u);
@@ -153,6 +156,7 @@ TEST(QosDeadlineTest, DropOnExpiryShedsAndKeepsResultsCorrect) {
   adm.add_tenant("b");
   const Workload w = offer_pipeline_jobs(sys, adm, 2, 8, 1000);
   adm.drain();
+  expect_resolved_exactly_once(sys.scheduler());
 
   std::uint64_t accepted = 0, completed = 0, dropped = 0;
   for (unsigned t = 0; t < 2; ++t) {
@@ -194,6 +198,7 @@ TEST(QosDeadlineTest, RejectAtSubmitUsesBacklogProjection) {
   adm.add_tenant("t");
   offer_pipeline_jobs(sys, adm, 1, 10, 1000);
   adm.drain();
+  expect_resolved_exactly_once(sys.scheduler());
 
   const auto& qs = adm.tenant_qos(0);
   // (outstanding + 1) * 10000 <= 25000 admits at most 2 outstanding.
@@ -233,6 +238,7 @@ TEST(QosPriorityTest, HighPriorityP99AtMostFifoP99UnderOverdrive) {
     }
     offer_pipeline_jobs(sys, adm, 4, 16, 6000);
     adm.drain();
+    expect_resolved_exactly_once(sys.scheduler());
     std::vector<Cycle> lat;
     for (const auto& rep : sys.scheduler().completed()) {
       if (rep.tenant == 0) lat.push_back(rep.latency());
@@ -261,6 +267,7 @@ TEST(QosDeterminismTest, RepeatedRunsAreBitIdentical) {
     adm.add_tenant("b");
     const Workload w = offer_pipeline_jobs(sys, adm, 2, 10, 3000);
     adm.drain();
+    expect_resolved_exactly_once(sys.scheduler());
     auto& sch = sys.scheduler();
     std::vector<std::uint8_t> outs;
     for (const auto& rep : sch.completed()) {
@@ -297,6 +304,7 @@ TEST(QosBackendTest, RateOnlyAdmissionIsBackendInvariant) {
     adm.add_tenant("t");
     const Workload w = offer_pipeline_jobs(sys, adm, 1, 12, 2500);
     adm.drain();
+    expect_resolved_exactly_once(sys.scheduler());
     auto& sch = sys.scheduler();
     std::vector<std::uint8_t> outs;
     for (const auto& rep : sch.completed()) {
@@ -343,6 +351,7 @@ TEST(QosDisabledTest, PassThroughMatchesDirectSubmission) {
       }
     }
     sys.drain();
+    expect_resolved_exactly_once(sys.scheduler());
     std::vector<std::uint64_t> dones;
     for (const auto& rep : sch.completed()) dones.push_back(rep.done);
     return std::pair(dones, sch.stats().makespan);

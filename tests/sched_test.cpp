@@ -9,6 +9,7 @@
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
 #include "isa/xmnmc.hpp"
+#include "resolution_check.hpp"
 #include "sched/job.hpp"
 #include "sched/pipelines.hpp"
 #include "sched/ready_queue.hpp"
@@ -223,6 +224,7 @@ TEST(SchedPipelineTest, DependencyOrderingUnderContention) {
     sch.submit(i % 2 ? t1 : t0, sched::pipeline_job(slots[i]), i * 100);
   }
   sch.drain();
+  expect_resolved_exactly_once(sch);
 
   EXPECT_EQ(sch.stats().jobs_completed, kJobs);
   EXPECT_EQ(sch.stats().ops_completed, kJobs * 4);
@@ -270,6 +272,7 @@ TEST(SchedOrderingTest, ConflictingJobsExecuteInReadyOrder) {
     sch.submit(t0, relu_job(in_a), 0);  // job 1: out <- f(A)
     sch.submit(t0, relu_job(in_b), 0);  // job 2: out <- f(B), must win
     sch.drain();
+    expect_resolved_exactly_once(sch);
 
     const auto got = workloads::load_matrix<std::int32_t>(sys, out, 8, 10);
     EXPECT_EQ(workloads::count_mismatches(got,
@@ -357,6 +360,7 @@ TEST(SchedDeterminismTest, RepeatedRunsAreBitIdentical) {
                  (i % 4) * 500);
     }
     sch.drain();
+    expect_resolved_exactly_once(sch);
     std::vector<std::uint8_t> outs;
     for (const auto& s : slots) {
       std::vector<std::uint8_t> buf(4 * 4 * 4);
@@ -405,6 +409,7 @@ TEST(SchedFairnessTest, RoundRobinAlternatesTenants) {
     for (unsigned i = 0; i < 6; ++i) submit_one(t0);
     for (unsigned i = 0; i < 6; ++i) submit_one(t1);
     sch.drain();
+    expect_resolved_exactly_once(sch);
     std::vector<unsigned> order;
     for (const auto& rep : sch.completed()) order.push_back(rep.tenant);
     return order;
@@ -437,6 +442,7 @@ TEST(SchedBackendTest, CrossBackendFunctionalEquivalence) {
       sch.submit(t0, sched::pipeline_job(slots[i]), i * 50);
     }
     sch.drain();
+    expect_resolved_exactly_once(sch);
     std::vector<std::uint8_t> outs;
     for (const auto& s : slots) {
       std::vector<std::uint8_t> buf(4 * 4 * 4);
@@ -469,6 +475,7 @@ TEST(SchedScalingTest, FourInstancesAtLeastTwiceOneInstance) {
       sch.submit(t0, sched::scaling_probe_job(base), 0);
     }
     sch.drain();
+    expect_resolved_exactly_once(sch);
     return sch.stats().makespan;
   };
   const Cycle one = makespan(1);

@@ -1,17 +1,13 @@
-// Telemetry layer: exact Series percentiles, registry determinism,
-// flight-recorder ring bounds, and the Perfetto exporter's structural
-// validity.
+// Telemetry layer: registry views and determinism, the shared JSON string
+// escaper, and the Perfetto exporter's structural validity.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "arcane/program_builder.hpp"
 #include "arcane/system.hpp"
-#include "telemetry/flight.hpp"
 #include "telemetry/perfetto.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -20,36 +16,9 @@
 namespace arcane {
 namespace {
 
-using telemetry::FlightRecorder;
-using telemetry::JobRecord;
 using telemetry::Registry;
-using telemetry::Series;
 using telemetry::SpanTracer;
 using telemetry::TraceFile;
-
-TEST(TelemetryTest, SeriesPercentileMatchesBenchRule) {
-  // Series::percentile is the floor-index rule every latency row uses:
-  // ascending sort, then sorted[size_t(q * (n - 1))].
-  std::vector<std::uint64_t> values = {17, 3, 99, 3, 42, 7, 58, 1, 23, 88, 5};
-  Series s;
-  for (auto v : values) s.record(v);
-  std::vector<std::uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
-    const auto idx =
-        static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-    EXPECT_EQ(s.percentile(q), sorted[idx]) << "q=" << q;
-  }
-  EXPECT_EQ(Series().percentile(0.5), 0u);  // empty -> 0, like the benches
-}
-
-TEST(TelemetryTest, SeriesTruncatesAtCapacity) {
-  Series s(4);
-  for (std::uint64_t v = 0; v < 10; ++v) s.record(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_EQ(s.truncated(), 6u);
-  EXPECT_EQ(s.samples().back(), 3u);  // keeps the earliest samples
-}
 
 TEST(TelemetryTest, RegistryValueAndSnapshotOrder) {
   Registry reg;
@@ -116,28 +85,6 @@ TEST(TelemetryTest, RegistryDumpIsDeterministic) {
   const std::string b = dump();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);  // identical runs -> byte-identical metric dumps
-}
-
-TEST(TelemetryTest, FlightRecorderRingKeepsMostRecent) {
-  FlightRecorder fr(/*per_tenant_capacity=*/2);
-  for (std::uint64_t id = 1; id <= 5; ++id) {
-    JobRecord r;
-    r.job_id = id;
-    r.tenant = 0;
-    r.arrival = id * 10;
-    r.done = id * 10 + 5;
-    r.dropped = (id == 4);
-    fr.record(r);
-  }
-  EXPECT_EQ(fr.tenants(), 1u);
-  EXPECT_EQ(fr.total(0), 5u);
-  const auto recent = fr.recent(0);
-  ASSERT_EQ(recent.size(), 2u);  // bounded by capacity
-  EXPECT_EQ(recent[0].job_id, 4u);  // oldest retained first
-  EXPECT_EQ(recent[1].job_id, 5u);
-  EXPECT_TRUE(recent[0].dropped);
-  EXPECT_EQ(recent[1].latency(), 5u);
-  EXPECT_TRUE(fr.recent(7).empty());  // unknown tenant -> empty, no throw
 }
 
 // Minimal structural JSON check: quotes respected, braces/brackets balance,
@@ -235,40 +182,26 @@ TEST(TelemetryTest, RegistryJsonEscapesHostileNames) {
   EXPECT_EQ(text.find('\t'), std::string::npos);
 }
 
-// Ring wraparound under interleaved completions and drops, across several
-// laps: retention stays bounded, order stays oldest-first, the dropped
-// flags of the survivors are exact, and the JSON view matches.
-TEST(TelemetryTest, FlightRecorderWraparoundPreservesOrderAndDrops) {
-  FlightRecorder fr(/*per_tenant_capacity=*/4);
-  for (std::uint64_t id = 1; id <= 11; ++id) {
-    JobRecord r;
-    r.job_id = id;
-    r.tenant = static_cast<std::int32_t>(id % 2);
-    r.arrival = id * 100;
-    r.done = id * 100 + 7;
-    r.dropped = (id % 3 == 0);  // 3, 6, 9 shed
-    fr.record(r);
-  }
-  // Tenant 0 saw 2,4,6,8,10; tenant 1 saw 1,3,5,7,9,11.
-  EXPECT_EQ(fr.total(0), 5u);
-  EXPECT_EQ(fr.total(1), 6u);
-  const auto t0 = fr.recent(0);
-  const auto t1 = fr.recent(1);
-  ASSERT_EQ(t0.size(), 4u);
-  ASSERT_EQ(t1.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(t0[i].job_id, 4u + 2 * i);       // 4, 6, 8, 10
-    EXPECT_EQ(t1[i].job_id, 5u + 2 * i);       // 5, 7, 9, 11
-    EXPECT_EQ(t0[i].dropped, t0[i].job_id % 3 == 0);
-    EXPECT_EQ(t1[i].dropped, t1[i].job_id % 3 == 0);
-    EXPECT_EQ(t0[i].latency(), 7u);
-  }
+// Control characters other than newline and tab come out as \u00XX in
+// both the registry dump and the trace's process name, never raw.
+TEST(TelemetryTest, ControlCharactersEscapeAsUnicode) {
+  Registry reg;
+  reg.bind("ctl\x01name", [] { return std::uint64_t{1}; });
+  std::ostringstream metrics;
+  reg.write_json(metrics);
+  EXPECT_NE(metrics.str().find("\"ctl\\u0001name\""), std::string::npos);
+  EXPECT_EQ(metrics.str().find('\x01'), std::string::npos);
+
+  SpanTracer spans;
+  spans.enable();
+  spans.instant(telemetry::kTrackEcpu, "offload.xmr", 10);
+  TraceFile trace;
+  trace.add_process("run\x01one", spans);
   std::ostringstream os;
-  fr.write_json(os);
+  trace.write(os);
   expect_balanced_json(os.str());
-  // Job 2 wrapped out of tenant 0's ring; job 10 survived.
-  EXPECT_EQ(os.str().find("{\"job\": 2,"), std::string::npos);
-  EXPECT_NE(os.str().find("{\"job\": 10,"), std::string::npos);
+  EXPECT_NE(os.str().find("\"run\\u0001one\""), std::string::npos);
+  EXPECT_EQ(os.str().find('\x01'), std::string::npos);
 }
 
 }  // namespace
