@@ -35,33 +35,6 @@ void KernelExecutor::launch(KernelOp op, Plan plan, std::vector<unsigned> vpus,
   }
 }
 
-void KernelExecutor::launch_hung(KernelOp op, Plan plan,
-                                 std::vector<unsigned> vpus, Cycle now) {
-  ARCANE_ASSERT(!active_.valid, "launch on a busy executor");
-  ARCANE_ASSERT(vpus.size() == plan.chains.size(),
-                "launch: one VPU per chain required");
-  active_ = ActiveKernel{};
-  active_.op = std::move(op);
-  active_.plan = std::move(plan);
-  active_.valid = true;
-  active_.hung = true;
-  if (ctx_->spans != nullptr) {
-    for (unsigned v : vpus) {
-      ctx_->spans->instant(telemetry::track_vpu(v), "kernel.launch", now,
-                           /*tenant=*/-1,
-                           /*job=*/static_cast<std::int64_t>(active_.op.uid),
-                           /*arg=*/active_.op.func5);
-    }
-  }
-  // Intentionally no chain events: the kernel sits here until abort_hung().
-}
-
-void KernelExecutor::abort_hung() {
-  ARCANE_ASSERT(active_.valid && active_.hung,
-                "abort_hung on an executor that is not hung");
-  active_ = ActiveKernel{};
-}
-
 void KernelExecutor::chain_step(unsigned chain_idx, Cycle t) {
   ARCANE_ASSERT(active_.valid, "chain_step without an active kernel");
   ChainState& cs = active_.chains[chain_idx];

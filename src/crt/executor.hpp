@@ -9,7 +9,10 @@
 // end that owns an executor — crt::Runtime keeps one and serializes its
 // in-order queue on it; sched::Scheduler keeps one per VPU instance — is
 // reached through the Client interface for its two own decisions: may a
-// write-back be elided, and what happens when the kernel finished.
+// write-back be elided, and what happens when the kernel finished. Every
+// launched kernel runs to completion: executors know nothing of faults (the
+// scheduler holds an injected hang in its own in-flight slot and never
+// launches it).
 #ifndef ARCANE_CRT_EXECUTOR_HPP_
 #define ARCANE_CRT_EXECUTOR_HPP_
 
@@ -52,19 +55,6 @@ class KernelExecutor {
   /// the caller has already advanced past its scheduling cost.
   void launch(KernelOp op, Plan plan, std::vector<unsigned> vpus, Cycle now);
 
-  /// Fault injection (src/fault/ OpVerdict::kHang): occupy the executor
-  /// with `op` but never schedule its chains — the kernel hangs forever.
-  /// No lines are claimed and no DMA runs; only abort_hung() frees the
-  /// executor (the owner's watchdog decides when).
-  void launch_hung(KernelOp op, Plan plan, std::vector<unsigned> vpus,
-                   Cycle now);
-  /// Abort a hung kernel: the executor becomes free, the kernel is NOT
-  /// retired through Client::on_kernel_finish (it never finished). The
-  /// owner retires it from op() first and keeps its own bookkeeping for
-  /// the aborted attempt.
-  void abort_hung();
-  bool hung() const { return active_.valid && active_.hung; }
-
   bool busy() const { return active_.valid; }
   unsigned id() const { return id_; }
   /// The in-flight kernel (valid while busy).
@@ -86,7 +76,6 @@ class KernelExecutor {
     unsigned chains_left = 0;
     Cycle finish_time = 0;
     bool valid = false;
-    bool hung = false;  // fault-injected: chains never scheduled
     bool elided_writeback = false;
     sim::OpStallBreakdown breakdown{};
   };

@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace arcane::sched {
 
@@ -129,27 +130,10 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   const std::string why = validate(job);
   ARCANE_CHECK(why.empty(), "malformed job: " << why);
   // Plan every op now: malformed shapes are rejected at submit, and the
-  // validated plan (pure function of spec + cfg) is kept for dispatch.
+  // validated plan is kept for dispatch.
   std::vector<crt::Plan> plans;
   plans.reserve(job.ops.size());
-  for (const OpSpec& s : job.ops) {
-    const crt::KernelInfo* info = ctx_->library.find(s.func5);
-    ARCANE_CHECK(info != nullptr,
-                 "job uses unknown kernel id " << unsigned(s.func5));
-    ARCANE_CHECK(s.md.valid, info->name << ": destination operand missing");
-    ARCANE_CHECK(!info->uses_ms1 || s.ms1.valid,
-                 info->name << ": ms1 operand missing");
-    ARCANE_CHECK(!info->uses_ms2 || s.ms2.valid,
-                 info->name << ": ms2 operand missing");
-    ARCANE_CHECK(!info->uses_ms3 || s.ms3.valid,
-                 info->name << ": ms3 operand missing");
-    crt::Plan plan = info->planner(make_kernel_op(s), *cfg_);
-    ARCANE_CHECK(plan.ok(), info->name << ": " << plan.error);
-    ARCANE_CHECK(plan.chains.size() == 1,
-                 info->name << ": multi-chain plans cannot be pinned to one "
-                               "instance (disable multi_vpu_kernels)");
-    plans.push_back(std::move(plan));
-  }
+  for (const OpSpec& s : job.ops) plans.push_back(plan_op(s));
 
   JobState js;
   js.id = next_job_id_++;
@@ -187,6 +171,25 @@ std::uint64_t Scheduler::submit(unsigned tenant, JobSpec job, Cycle arrival) {
   return jobs_.back().id;
 }
 
+crt::Plan Scheduler::plan_op(const OpSpec& s) const {
+  const crt::KernelInfo* info = ctx_->library.find(s.func5);
+  ARCANE_CHECK(info != nullptr,
+               "job uses unknown kernel id " << unsigned(s.func5));
+  ARCANE_CHECK(s.md.valid, info->name << ": destination operand missing");
+  ARCANE_CHECK(!info->uses_ms1 || s.ms1.valid,
+               info->name << ": ms1 operand missing");
+  ARCANE_CHECK(!info->uses_ms2 || s.ms2.valid,
+               info->name << ": ms2 operand missing");
+  ARCANE_CHECK(!info->uses_ms3 || s.ms3.valid,
+               info->name << ": ms3 operand missing");
+  crt::Plan plan = info->planner(make_kernel_op(s), *cfg_);
+  ARCANE_CHECK(plan.ok(), info->name << ": " << plan.error);
+  ARCANE_CHECK(plan.chains.size() == 1,
+               info->name << ": multi-chain plans cannot be pinned to one "
+                             "instance (disable multi_vpu_kernels)");
+  return plan;
+}
+
 void Scheduler::drain() {
   ctx_->events->run_all();
   ARCANE_CHECK(jobs_open_ == 0, "scheduler drained with "
@@ -214,11 +217,17 @@ void Scheduler::arrive(std::uint32_t job_idx, Cycle t) {
 }
 
 void Scheduler::op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t) {
+  jobs_[job_idx].ops[op_idx].first_ready = t;
+  park(job_idx, op_idx, -1, t);
+}
+
+void Scheduler::park(std::uint32_t job_idx, unsigned op_idx, int avoid,
+                     Cycle t) {
   JobState& js = jobs_[job_idx];
   OpState& os = js.ops[op_idx];
   os.ready_at = t;
-  os.first_ready = t;
-
+  os.hazard_marked = false;
+  os.hazard_since = 0;
   ReadyEntry e;
   e.job = job_idx;
   e.op = static_cast<std::uint16_t>(op_idx);
@@ -226,42 +235,32 @@ void Scheduler::op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t) {
   e.priority = static_cast<std::uint8_t>(tenant_priority_[js.tenant]);
   e.est_cost = estimate_cost(os.spec);
   e.seq = ready_seq_++;
-  queues_[pick_park_instance(-1)].push(e);
+  queues_[pick_park_instance(avoid)].push(e);
+}
+
+void Scheduler::migrate_queue(unsigned inst) {
+  std::vector<ReadyEntry> moved(queues_[inst].entries().begin(),
+                                queues_[inst].entries().end());
+  queues_[inst].erase_if([](const ReadyEntry&) { return true; });
+  for (const ReadyEntry& e : moved) queues_[pick_park_instance(-1)].push(e);
 }
 
 unsigned Scheduler::pick_park_instance(int avoid) const {
-  // Park on the least-loaded healthy instance queue (in-flight kernel
-  // counts as one queued unit); ties go to the lowest instance for
-  // determinism. With every instance healthy (the fault-free fast path)
-  // and no `avoid`, this is plain least-loaded.
-  for (const bool skip_avoid : {true, false}) {
-    unsigned best = 0;
-    std::size_t best_load = ~std::size_t{0};
-    bool found = false;
-    for (unsigned k = 0; k < queues_.size(); ++k) {
-      if (health_[k].quarantined) continue;
-      if (skip_avoid && avoid >= 0 && k == static_cast<unsigned>(avoid)) {
-        continue;
-      }
-      const std::size_t load =
-          queues_[k].size() + (inflight_[k].valid ? 1 : 0);
-      if (load < best_load) {
-        best = k;
-        best_load = load;
-        found = true;
-      }
-    }
-    if (found) return best;
-  }
-  // Every instance quarantined: park anywhere (lowest-loaded); the op
-  // dispatches when one recovers, or drain() reports the wedge.
+  // Ties go to the lowest instance for determinism. With every instance
+  // healthy (the fault-free fast path) and no `avoid`, this is plain
+  // least-loaded. With every instance quarantined the op parks on the
+  // least-loaded one and dispatches when some instance recovers.
   unsigned best = 0;
-  std::size_t best_load = ~std::size_t{0};
+  std::pair<unsigned, std::size_t> best_key{~0u, 0};
   for (unsigned k = 0; k < queues_.size(); ++k) {
-    const std::size_t load = queues_[k].size() + (inflight_[k].valid ? 1 : 0);
-    if (load < best_load) {
+    const unsigned rank = health_[k].quarantined         ? 2
+                          : static_cast<int>(k) == avoid ? 1
+                                                         : 0;
+    const std::pair<unsigned, std::size_t> key{
+        rank, queues_[k].size() + (inflight_[k].valid ? 1 : 0)};
+    if (key < best_key) {
       best = k;
-      best_load = load;
+      best_key = key;
     }
   }
   return best;
@@ -496,7 +495,6 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   fl.job = e.job;
   fl.op = e.op;
   fl.dispatch_at = t;
-  fl.ready_at = os.ready_at;
   // Pre-execution buckets: [ready, first hazard hold-back) is queue_wait,
   // [hold-back, dispatch) is hazard_defer, and the eCPU decode + schedule
   // slice [t, ecpu_free) is dispatch. The executor's breakdown tiles the
@@ -507,11 +505,6 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
     fl.pre[sim::StallBucket::kHazardDefer] += t - hz_from;
     fl.pre[sim::StallBucket::kDispatch] += ctx_->ecpu_free - t;
   }
-  fl.dest_lo = plan.dest_lo;
-  fl.dest_hi = plan.dest_hi;
-  for (const crt::Operand* o : {&op.ms1, &op.ms2, &op.ms3}) {
-    if (o->valid) fl.src_ranges.push_back(o->range(op.et));
-  }
   fl.dispatch_seq = ++dispatch_seq_;
   fl.post_dispatch = ctx_->ecpu_free;
   // Consult the fault plan: a one-shot op fault armed for this instance
@@ -521,7 +514,7 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
   if (injector_ != nullptr) {
     fl.verdict = injector_->next_op_fault(inst, t);
   }
-  const fault::OpVerdict verdict = fl.verdict;
+  const bool hung = fl.verdict == fault::OpVerdict::kHang;
   const std::uint64_t wd_seq = fl.dispatch_seq;
   inflight_[inst] = std::move(fl);
 
@@ -554,22 +547,27 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
         "sched.watchdog");
   }
 
-  if (verdict == fault::OpVerdict::kHang) {
-    execs_[inst]->launch_hung(std::move(op), std::move(plan), {inst}, t);
-  } else {
+  if (!hung) {
     execs_[inst]->launch(std::move(op), std::move(plan), {inst}, t);
+    return;
   }
+  // A hung kernel never reaches the executor: it looks launched (the same
+  // instant the executor emits) but no chain runs, no line is claimed and
+  // no DMA moves; the slot holds it until the abort retires it.
+  if (ctx_->spans != nullptr) {
+    ctx_->spans->instant(telemetry::track_vpu(inst), "kernel.launch", t,
+                         /*tenant=*/-1,
+                         /*job=*/static_cast<std::int64_t>(op.uid),
+                         /*arg=*/op.func5);
+  }
+  inflight_[inst].hung_op = std::move(op);
 }
 
 void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
                                  crt::FinishedKernel fin, Cycle t) {
   const unsigned inst = ex.id();
   ARCANE_ASSERT(inflight_[inst].valid, "finish on an idle instance");
-  const InFlight fl = std::move(inflight_[inst]);
-  inflight_[inst] = InFlight{};
-  --ctx_->sched_kernels;
-  ctx_->retire(fin.op, /*keep_dest_entry=*/false, /*keep_lines=*/false);
-  stats_.instance_occupied[inst] += t - fl.dispatch_at;
+  const InFlight fl = release_slot(inst, fin.op, t);
 
   JobState& js = jobs_[fl.job];
   OpState& os = js.ops[fl.op];
@@ -587,26 +585,16 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   sim::OpStallBreakdown bd = fin.breakdown;
   bd += fl.pre;
 
-  const bool op_failed = fl.doomed || fl.verdict != fault::OpVerdict::kNone;
-  if (op_failed) {
+  if (fl.doomed || fl.verdict != fault::OpVerdict::kNone) {
     // Fault-injected failure (transient / DMA error, or the instance
-    // fail-stopped while this op executed): the attempt's cycles fold into
-    // the op's accumulator — the telescoping check runs at the completion
-    // that finally succeeds.
-    os.acc += bd;
+    // fail-stopped while this op executed).
     if (ctx_->spans != nullptr) {
       ctx_->spans->instant(telemetry::track_vpu(inst), "sched.op_fail", t,
                            static_cast<std::int32_t>(js.tenant),
                            static_cast<std::int64_t>(js.id),
                            static_cast<std::int64_t>(fl.verdict));
     }
-    if (js.dropped) {
-      // Shed while executing: the failed attempt is cancelled with the job.
-      ARCANE_ASSERT(js.ops_left > 0, "job op accounting underflow");
-      --js.ops_left;
-    } else {
-      handle_op_failure(inst, fl.job, fl.op, t);
-    }
+    fail_attempt(inst, fl, bd, t);
     try_dispatch(t);
     return;
   }
@@ -656,7 +644,7 @@ void Scheduler::watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t) {
   // Stale token (the op retired and the slot was reused) or an op that is
   // actually executing (its completion event will fire): no-op.
   if (!cur.valid || cur.dispatch_seq != seq) return;
-  if (!execs_[inst]->hung()) return;
+  if (cur.verdict != fault::OpVerdict::kHang) return;
   ++stats_.watchdog_fires;
   if (ctx_->spans != nullptr) {
     const JobState& js = jobs_[cur.job];
@@ -670,39 +658,49 @@ void Scheduler::watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t) {
 }
 
 void Scheduler::abort_hung_inflight(unsigned inst, Cycle t) {
-  ARCANE_ASSERT(inflight_[inst].valid && execs_[inst]->hung(),
+  ARCANE_ASSERT(inflight_[inst].valid &&
+                    inflight_[inst].verdict == fault::OpVerdict::kHang,
                 "abort of a non-hung instance");
-  const InFlight fl = std::move(inflight_[inst]);
-  inflight_[inst] = InFlight{};
   // The hung kernel registered AT ranges at dispatch but never claimed
-  // lines or ran DMA; release what it held so a retry re-registers
-  // cleanly (idempotent re-dispatch).
+  // lines or ran DMA; releasing them lets a retry re-register cleanly
+  // (idempotent re-dispatch).
+  const InFlight fl = release_slot(inst, inflight_[inst].hung_op, t);
+  // The pre-dispatch buckets are real work; the hung window [launch,
+  // abort] is failure-handling time, charged to retry_backoff so the
+  // telescoping invariant spans the abort.
+  sim::OpStallBreakdown attempt = fl.pre;
+  attempt[sim::StallBucket::kRetryBackoff] += t - fl.post_dispatch;
+  fail_attempt(inst, fl, attempt, t);
+}
+
+Scheduler::InFlight Scheduler::release_slot(unsigned inst,
+                                            const crt::KernelOp& op, Cycle t) {
+  // Retire first: `op` may live in the slot (a hung kernel).
+  ctx_->retire(op, /*keep_dest_entry=*/false, /*keep_lines=*/false);
   --ctx_->sched_kernels;
-  ctx_->retire(execs_[inst]->op(), /*keep_dest_entry=*/false,
-               /*keep_lines=*/false);
-  execs_[inst]->abort_hung();
+  InFlight fl = std::move(inflight_[inst]);
+  inflight_[inst] = InFlight{};
   stats_.instance_occupied[inst] += t - fl.dispatch_at;
-  JobState& js = jobs_[fl.job];
-  OpState& os = js.ops[fl.op];
-  // Attempt accounting: the pre-dispatch buckets are real work; the hung
-  // window [launch, abort] is failure-handling time, charged to
-  // retry_backoff so the telescoping invariant spans the abort.
-  os.acc += fl.pre;
-  os.acc[sim::StallBucket::kRetryBackoff] += t - fl.post_dispatch;
+  return fl;
+}
+
+void Scheduler::fail_attempt(unsigned inst, const InFlight& fl,
+                             const sim::OpStallBreakdown& attempt, Cycle t) {
+  ARCANE_ASSERT(injector_ != nullptr, "op failure without a fault plan");
+  const std::uint32_t job_idx = fl.job;
+  const unsigned op_idx = fl.op;
+  JobState& js = jobs_[job_idx];
+  OpState& os = js.ops[op_idx];
+  // The attempt's cycles fold into the op's accumulator: the telescoping
+  // check runs at the completion that finally succeeds.
+  os.acc += attempt;
   if (js.dropped) {
-    // Shed while hung: the aborted attempt is cancelled with the job.
+    // Shed or failed while on the instance: the attempt is cancelled with
+    // the job.
     ARCANE_ASSERT(js.ops_left > 0, "job op accounting underflow");
     --js.ops_left;
     return;
   }
-  handle_op_failure(inst, fl.job, fl.op, t);
-}
-
-void Scheduler::handle_op_failure(unsigned inst, std::uint32_t job_idx,
-                                  unsigned op_idx, Cycle t) {
-  ARCANE_ASSERT(injector_ != nullptr, "op failure without a fault plan");
-  JobState& js = jobs_[job_idx];
-  OpState& os = js.ops[op_idx];
   note_op_outcome(inst, /*ok=*/false, t);
   if (os.attempts > cfg_->fault.max_retries) {
     fail_job(job_idx, t);
@@ -720,11 +718,10 @@ void Scheduler::handle_op_failure(unsigned inst, std::uint32_t job_idx,
                          static_cast<std::int64_t>(op_idx));
   }
   ++pending_retries_;
-  const unsigned prev = inst;
   ctx_->events->schedule(
       t + backoff,
-      [this, job_idx, op_idx, prev] {
-        requeue_op(job_idx, op_idx, prev, ctx_->events->now());
+      [this, job_idx, op_idx, inst] {
+        requeue_op(job_idx, op_idx, inst, ctx_->events->now());
       },
       "sched.retry");
 }
@@ -740,26 +737,12 @@ void Scheduler::requeue_op(std::uint32_t job_idx, unsigned op_idx,
     try_dispatch(t);
     return;
   }
+  // Idempotent re-dispatch: re-plan from the immutable spec; AT
+  // registration and operand reload re-run inside dispatch exactly like a
+  // first attempt.
   OpState& os = js.ops[op_idx];
-  // Idempotent re-dispatch: re-plan from the immutable spec (the planner
-  // is a pure function of spec + cfg); AT registration and operand reload
-  // re-run inside dispatch exactly like a first attempt.
-  const crt::KernelInfo* info = ctx_->library.find(os.spec.func5);
-  ARCANE_ASSERT(info != nullptr, "kernel missing from the library on retry");
-  crt::Plan plan = info->planner(make_kernel_op(os.spec), *cfg_);
-  ARCANE_ASSERT(plan.ok(), "retry re-plan failed: " << plan.error);
-  os.plan = std::move(plan);
-  os.ready_at = t;
-  os.hazard_marked = false;
-  os.hazard_since = 0;
-  ReadyEntry e;
-  e.job = job_idx;
-  e.op = static_cast<std::uint16_t>(op_idx);
-  e.tenant = static_cast<std::uint16_t>(js.tenant);
-  e.priority = static_cast<std::uint8_t>(tenant_priority_[js.tenant]);
-  e.est_cost = estimate_cost(os.spec);
-  e.seq = ready_seq_++;
-  queues_[pick_park_instance(static_cast<int>(prev_inst))].push(e);
+  os.plan = plan_op(os.spec);
+  park(job_idx, op_idx, static_cast<int>(prev_inst), t);
   try_dispatch(t);
 }
 
@@ -795,22 +778,14 @@ void Scheduler::quarantine(unsigned inst, Cycle t) {
     ctx_->spans->instant(telemetry::track_vpu(inst), "sched.quarantine", t,
                          -1, -1, static_cast<std::int64_t>(inst));
   }
-  // Drain: migrate queued entries to healthy instances. Seq is preserved,
-  // so the cross-queue older-conflict checks (and with them DAG/hazard
-  // ordering) are unaffected by the migration.
-  std::vector<ReadyEntry> moved(queues_[inst].entries().begin(),
-                                queues_[inst].entries().end());
-  queues_[inst].erase_if([](const ReadyEntry&) { return true; });
-  for (const ReadyEntry& e : moved) {
-    queues_[pick_park_instance(-1)].push(e);
-  }
+  migrate_queue(inst);
 }
 
 void Scheduler::on_instance_fail(unsigned inst, Cycle t) {
   ARCANE_ASSERT(inst < num_instances(), "fail-stop on unknown instance");
   quarantine(inst, t);
   if (inflight_[inst].valid) {
-    if (execs_[inst]->hung()) {
+    if (inflight_[inst].verdict == fault::OpVerdict::kHang) {
       // Nothing will ever complete it: abort and route the failure now.
       abort_hung_inflight(inst, t);
     } else {
@@ -833,21 +808,19 @@ void Scheduler::on_instance_recover(unsigned inst, Cycle t) {
     ctx_->spans->instant(telemetry::track_vpu(inst), "sched.readmit", t, -1,
                          -1, static_cast<std::int64_t>(inst));
   }
+  // Work parked while every instance was quarantined would otherwise stay
+  // stranded on an instance that may never return.
+  for (unsigned k = 0; k < queues_.size(); ++k) {
+    if (health_[k].quarantined) migrate_queue(k);
+  }
   try_dispatch(t);
 }
 
 bool Scheduler::conflicts(const OpSpec& spec) const {
-  const auto dest = spec.md.range(spec.et);
   for (const InFlight& fl : inflight_) {
-    if (!fl.valid) continue;
-    const std::pair<Addr, Addr> fl_dest{fl.dest_lo, fl.dest_hi};
-    // WAW / WAR: our destination vs their destination and sources.
-    if (ranges_overlap(dest, fl_dest)) return true;
-    for (const auto& src : fl.src_ranges) {
-      if (ranges_overlap(dest, src)) return true;
+    if (fl.valid && specs_conflict(jobs_[fl.job].ops[fl.op].spec, spec)) {
+      return true;
     }
-    // RAW: our sources vs their destination.
-    if (src_overlaps(spec, fl_dest)) return true;
   }
   return false;
 }

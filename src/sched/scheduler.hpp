@@ -11,12 +11,17 @@
 //    (crt::CrtContext) the host-program path runs on too, so allocation
 //    and write-back transfers of concurrent kernels serialize exactly like
 //    the hardware's single engine;
-//  * data hazards — an op whose operand ranges overlap an in-flight op's
-//    destination (or whose destination overlaps in-flight sources) is held
-//    in its ready queue until the conflicting kernel retires, and
-//    conflicting *queued* ops dispatch strictly in ready (seq) order even
-//    across instances and policies, making buffer-reusing tenants safe
-//    without host AT stalls.
+//  * data hazards — one predicate (WAW, WAR or RAW overlap of two op
+//    specs) holds an op in its ready queue while it conflicts with an
+//    in-flight op or an older queued one, so conflicting ops dispatch
+//    strictly in ready (seq) order even across instances and policies,
+//    making buffer-reusing tenants safe without host AT stalls.
+//
+// Each op takes one path from ready to resolution: park (one step picks
+// the instance queue), dispatch, then either completion or a failed
+// attempt that is retried (re-planned and re-parked) or fails the job. An
+// injected hang (src/fault/) is held in the instance's in-flight slot and
+// never reaches the executor; the watchdog or a fail-stop aborts it.
 //
 // Everything runs as events on the System's queue, so instances advance
 // concurrently in *simulated* time and results are deterministic. Kernel
@@ -126,8 +131,8 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// aborted now, an executing one is doomed (its completion — already a
   /// scheduled event — reports failure when it fires).
   void on_instance_fail(unsigned instance, Cycle t) override;
-  /// Recovery: the instance rejoins the healthy set and the dispatch scan
-  /// runs (queued work may migrate back naturally via parking).
+  /// Recovery: the instance rejoins the healthy set, every entry queued on
+  /// a still-quarantined instance is re-parked, and the dispatch scan runs.
   void on_instance_recover(unsigned instance, Cycle t) override;
 
   const sim::SchedStats& stats() const { return stats_; }
@@ -209,25 +214,25 @@ class Scheduler final : public crt::KernelExecutor::Client,
     std::vector<OpState> ops;
     std::unique_ptr<DagState> dag;
   };
-  /// What an instance is currently executing (for hazard checks and the
-  /// uid -> op mapping at completion).
+  /// What an instance is currently executing (for hazard checks, which
+  /// read the op's spec, and the op mapping at completion).
   struct InFlight {
     bool valid = false;
     std::uint32_t job = 0;
     std::uint16_t op = 0;
     Cycle dispatch_at = 0;
-    Cycle ready_at = 0;
     /// Pre-execution stall buckets (queue_wait, hazard_defer and the
     /// dispatch/eCPU decode slice), composed with the executor's breakdown
     /// at completion to tile the op's full [ready, finish] lifetime.
     sim::OpStallBreakdown pre{};
-    Addr dest_lo = 0, dest_hi = 0;
-    std::vector<std::pair<Addr, Addr>> src_ranges;
     // Failure handling (src/fault/).
     std::uint64_t dispatch_seq = 0;  // watchdog token (stale-fire filter)
     Cycle post_dispatch = 0;         // eCPU horizon at launch (hang window)
     fault::OpVerdict verdict = fault::OpVerdict::kNone;
     bool doomed = false;  // instance fail-stopped while this op executed
+    /// verdict == kHang: the kernel, never launched, held until the abort
+    /// retires it (its AT ranges are registered).
+    crt::KernelOp hung_op;
   };
   /// Per-instance health for consecutive-failure quarantine.
   struct Health {
@@ -236,7 +241,17 @@ class Scheduler final : public crt::KernelExecutor::Client,
   };
 
   void arrive(std::uint32_t job_idx, Cycle t);
+  /// The one plan step: library lookup, operand-presence checks and the
+  /// planner call (a pure function of spec + cfg). Throws arcane::Error on
+  /// a spec the library rejects.
+  crt::Plan plan_op(const OpSpec& spec) const;
   void op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t);
+  /// The one park step: the op is ready (again) at `t`; queue a fresh
+  /// ReadyEntry on pick_park_instance(avoid).
+  void park(std::uint32_t job_idx, unsigned op_idx, int avoid, Cycle t);
+  /// Re-park every entry queued on `inst`, seq preserved (so the
+  /// older-conflict checks, and with them DAG/hazard order, are unaffected).
+  void migrate_queue(unsigned inst);
   /// Shed every queued job whose deadline expired (shed_on_expiry only).
   void shed_expired(Cycle t);
   /// How a job leaves the scheduler.
@@ -256,23 +271,27 @@ class Scheduler final : public crt::KernelExecutor::Client,
   std::uint64_t estimate_cost(const OpSpec& spec) const;
   void register_tenant_metrics(unsigned tenant);
   // ------------------- failure handling (src/fault/) -------------------
-  /// Least-loaded healthy instance to park a ready op on (ties → lowest
-  /// index). `avoid` >= 0 is skipped when another healthy instance exists
-  /// (failover preference); with every instance quarantined, any instance.
+  /// The instance to park a ready op on: the minimum of (rank, load,
+  /// index), where rank is 0 for a healthy instance, 1 for `avoid` (the
+  /// failover preference, when >= 0) and 2 for a quarantined one, and load
+  /// counts an in-flight kernel as one queued unit.
   unsigned pick_park_instance(int avoid) const;
   /// Per-op watchdog: fires `watchdog_timeout` after dispatch; a stale
-  /// token or a non-hung executor is a no-op (real completions cannot be
+  /// token or a non-hung op is a no-op (real completions cannot be
   /// aborted — events already scheduled always fire).
   void watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t);
-  /// Abort the hung in-flight kernel on `inst` (watchdog or fail-stop):
-  /// retire it, fold the attempt into the op's accumulator and route to
-  /// handle_op_failure.
+  /// Abort the hung op on `inst` (watchdog or fail-stop): its hung window
+  /// counts as retry backoff, then fail_attempt.
   void abort_hung_inflight(unsigned inst, Cycle t);
-  /// One op attempt failed on `inst`: update health, then either schedule
-  /// a retry (backoff + requeue) or fail the job on exhaustion.
-  void handle_op_failure(unsigned inst, std::uint32_t job_idx,
-                         unsigned op_idx, Cycle t);
-  /// Re-admit a failed op to a ready queue: re-plan from the spec
+  /// Free `inst`'s slot and retire its kernel `op` from the back end.
+  InFlight release_slot(unsigned inst, const crt::KernelOp& op, Cycle t);
+  /// The one failed-attempt step (`fl` was freed from `inst`): fold
+  /// `attempt` into the op's accumulator; a dropped job's op is cancelled,
+  /// otherwise `inst`'s health is updated and the op either retries
+  /// (backoff + requeue) or, on exhaustion, fails the job.
+  void fail_attempt(unsigned inst, const InFlight& fl,
+                    const sim::OpStallBreakdown& attempt, Cycle t);
+  /// Re-admit a failed op after its backoff: re-plan and re-park it
   /// (idempotent — AT registration and operand reload re-run at dispatch).
   void requeue_op(std::uint32_t job_idx, unsigned op_idx, unsigned prev_inst,
                   Cycle t);

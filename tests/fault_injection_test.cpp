@@ -1,9 +1,10 @@
 // Deterministic fault injection + failure-aware scheduling tests: the
 // fault-disabled path stays bit-identical, fail-stop triggers quarantine +
-// failover with DAG ordering preserved, the watchdog fires at the exact
-// configured cycle, retry exhaustion fails the job (never hangs the
-// drain), and per-tenant retry/failover counters partition the scheduler
-// totals.
+// failover with DAG ordering preserved, work parked while the whole fleet
+// was down migrates on re-admission, the watchdog fires at the exact
+// configured cycle, a fail-stop aborts a hung op at once, retry exhaustion
+// fails the job (never hangs the drain), and per-tenant retry/failover
+// counters partition the scheduler totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,15 +42,16 @@ FaultEvent fault_event(FaultKind kind, std::uint64_t at, unsigned instance) {
   return e;
 }
 
-/// Place `jobs` pipeline jobs (alternating between two tenants), drain,
-/// and return (completed reports, makespan, concatenated output bytes).
+/// Place `jobs` pipeline jobs (alternating between two tenants, arriving
+/// `spacing` cycles apart), drain, and return (completed reports, makespan,
+/// concatenated output bytes).
 struct RunResult {
   std::vector<sched::JobReport> completed;
   Cycle makespan = 0;
   std::vector<std::uint8_t> outs;
 };
 
-RunResult run_pipelines(System& sys, unsigned jobs) {
+RunResult run_pipelines(System& sys, unsigned jobs, Cycle spacing = 100) {
   auto& sch = sys.scheduler();
   const unsigned t0 = sch.add_tenant("a");
   const unsigned t1 = sch.add_tenant("b");
@@ -60,7 +62,7 @@ RunResult run_pipelines(System& sys, unsigned jobs) {
     slots.emplace_back(sys.data_base() + 0x10000 + i * 0x8000);
     data.push_back(sched::random_pipeline_data(rng));
     sched::place_pipeline_data(sys, slots[i], data[i]);
-    sch.submit(i % 2 ? t1 : t0, sched::pipeline_job(slots[i]), i * 100);
+    sch.submit(i % 2 ? t1 : t0, sched::pipeline_job(slots[i]), i * spacing);
   }
   sch.drain();
   expect_resolved_exactly_once(sch);
@@ -177,6 +179,33 @@ TEST(FaultFailStopTest, QuarantineDrainPreservesDagOrdering) {
   EXPECT_TRUE(sys.scheduler().instance_quarantined(1));
 }
 
+// Stranded work: inst0 fail-stops, then inst1 fail-stops too, so work
+// parks on quarantined instances. When inst0 recovers, everything queued
+// on the still-dead inst1 must migrate to it; otherwise those jobs never
+// dispatch and the drain reports them unfinished while inst0 sits idle.
+TEST(FaultFailStopTest, ReadmissionMigratesWorkStrandedOnDeadInstances) {
+  SystemConfig cfg = fault_config(MemBackendKind::kBurstPsram, 2);
+  cfg.fault.enabled = true;
+  cfg.fault.max_retries = 3;
+  cfg.fault.retry_backoff = 64;
+  FaultEvent fail0 = fault_event(FaultKind::kInstanceFailStop, 2000, 0);
+  fail0.recover_at = 22000;
+  cfg.fault.events.push_back(fail0);
+  cfg.fault.events.push_back(
+      fault_event(FaultKind::kInstanceFailStop, 3000, 1));  // permanent
+  System sys(cfg);
+  const RunResult r = run_pipelines(sys, 8, 1500);  // verifies every output
+
+  auto& sch = sys.scheduler();
+  EXPECT_EQ(r.completed.size(), 8u);
+  EXPECT_EQ(sch.stats().jobs_failed, 0u);
+  EXPECT_EQ(sch.stats().quarantines, 2u);
+  EXPECT_FALSE(sch.instance_quarantined(0));
+  EXPECT_TRUE(sch.instance_quarantined(1));
+  // Nothing ran while the whole fleet was down.
+  EXPECT_GE(r.makespan, Cycle{22000});
+}
+
 // The watchdog must fire at exactly hang-injection + watchdog_timeout
 // cycles (both are instants on the instance's span track), and the hung op
 // must retry and complete.
@@ -219,6 +248,50 @@ TEST(FaultWatchdogTest, FiresAtTheExactConfiguredCycle) {
   EXPECT_EQ(sch.stats().retries, 1u);
   EXPECT_EQ(sch.stats().jobs_failed, 0u);
   EXPECT_EQ(sch.stats().jobs_completed, 1u);
+  const auto out = workloads::load_matrix<std::int32_t>(sys, slot.out, 4, 4);
+  EXPECT_EQ(workloads::count_mismatches(out, sched::golden_pipeline(data)), 0u);
+}
+
+// A fail-stop on an instance holding a hung op aborts the op at once (the
+// watchdog, armed far beyond the fail-stop, never fires), retries it on
+// the surviving instance and completes the job.
+TEST(FaultFailStopTest, FailStopAbortsAHungOpAtOnce) {
+  constexpr Cycle kFailAt = 1000;
+  SystemConfig cfg = fault_config(MemBackendKind::kBurstPsram, 2);
+  cfg.fault.enabled = true;
+  cfg.fault.watchdog_timeout = 1000000;
+  cfg.fault.max_retries = 1;
+  cfg.fault.retry_backoff = 100;
+  cfg.fault.events.push_back(fault_event(FaultKind::kOpHang, 0, 0));
+  cfg.fault.events.push_back(
+      fault_event(FaultKind::kInstanceFailStop, kFailAt, 0));
+  System sys(cfg);
+  sys.spans().enable();
+  auto& sch = sys.scheduler();
+  const unsigned t0 = sch.add_tenant("t");
+  Rng rng(11);
+  PipelineSlot slot(sys.data_base() + 0x10000);
+  const PipelineData data = sched::random_pipeline_data(rng);
+  sched::place_pipeline_data(sys, slot, data);
+  sch.submit(t0, sched::pipeline_job(slot), 0);
+  sch.drain();
+  expect_resolved_exactly_once(sch);
+
+  unsigned hangs = 0, retries_at_fail = 0;
+  for (const auto& e : sys.spans().events()) {
+    if (std::string_view(e.name) == "fault.hang") ++hangs;
+    if (std::string_view(e.name) == "sched.retry" && e.begin == kFailAt) {
+      ++retries_at_fail;
+    }
+  }
+  EXPECT_EQ(hangs, 1u);
+  EXPECT_EQ(retries_at_fail, 1u);  // aborted at the fail-stop cycle
+  EXPECT_EQ(sch.stats().watchdog_fires, 0u);
+  EXPECT_EQ(sch.stats().retries, 1u);
+  EXPECT_EQ(sch.stats().failovers, 1u);
+  EXPECT_EQ(sch.stats().jobs_failed, 0u);
+  EXPECT_EQ(sch.stats().jobs_completed, 1u);
+  EXPECT_TRUE(sch.instance_quarantined(0));
   const auto out = workloads::load_matrix<std::int32_t>(sys, slot.out, 4, 4);
   EXPECT_EQ(workloads::count_mismatches(out, sched::golden_pipeline(data)), 0u);
 }

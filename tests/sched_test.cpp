@@ -1,9 +1,11 @@
 // Multi-tenant kernel-offload scheduler tests: DAG validation, dependency
-// ordering under contention, buffer-reuse ordering across jobs,
+// ordering under contention, buffer-reuse ordering across jobs (queued and
+// in-flight hazards),
 // determinism, tenant fairness, cross-backend functional equivalence and
 // multi-instance throughput scaling.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "arcane/program_builder.hpp"
@@ -279,6 +281,88 @@ TEST(SchedOrderingTest, ConflictingJobsExecuteInReadyOrder) {
                                           workloads::golden_leaky_relu(B, 1)),
               0u)
         << "policy " << sched_policy_name(policy);
+  }
+}
+
+// The in-flight half of the hazard check: the second job arrives after the
+// first has dispatched, so only the in-flight comparison (not the
+// older-queued one) can hold it back. The first job is a many-tile op over
+// 64 rows; the second, a one-tile op on an idle instance, touches the last
+// 8 rows, which the first reaches last. Each case (WAW, WAR, RAW) must
+// leave memory as if the two ops ran in ready order.
+TEST(SchedOrderingTest, InFlightConflictsHoldLaterJobsBack) {
+  enum class Hazard { kWaw, kWar, kRaw };
+  for (Hazard hazard : {Hazard::kWaw, Hazard::kWar, Hazard::kRaw}) {
+    System sys(sched_config(MemBackendKind::kBurstPsram, 4));
+    auto& sch = sys.scheduler();
+    const unsigned t0 = sch.add_tenant("t");
+    Rng rng(17);
+    const Addr a = sys.data_base() + 0x10000;  // 64 rows
+    const Addr c = sys.data_base() + 0x14000;  // 64 rows
+    const Addr b = sys.data_base() + 0x18000;  // 8 rows
+    constexpr Addr kLast = 56 * 10 * 4;        // offset of rows 56..63
+    const auto a_head = Matrix<std::int32_t>::random(56, 10, rng, -9, 9);
+    const auto a_last = Matrix<std::int32_t>::random(8, 10, rng, -9, 9);
+    const auto c_last = Matrix<std::int32_t>::random(8, 10, rng, -9, 9);
+    const auto B = Matrix<std::int32_t>::random(8, 10, rng, -9, 9);
+    workloads::store_matrix(sys, a, a_head);
+    workloads::store_matrix(sys, a + kLast, a_last);
+    workloads::store_matrix(sys, c + kLast, c_last);
+    workloads::store_matrix(sys, b, B);
+    auto relu_job = [&](Addr dst, Addr src, std::uint32_t rows) {
+      sched::OpSpec relu;
+      relu.func5 = x::kLeakyRelu;
+      relu.alpha = 1;
+      relu.md = operand(dst, {rows, 10, 10});
+      relu.ms1 = operand(src, {rows, 10, 10});
+      sched::JobSpec job;
+      job.ops.push_back(relu);
+      return job;
+    };
+    const auto f = [](const Matrix<std::int32_t>& m) {
+      return workloads::golden_leaky_relu(m, 1);
+    };
+    // Second job's arrival: after the first dispatched at cycle 0, well
+    // before it can finish (checked below).
+    constexpr Cycle kSecond = 20;
+    sch.submit(t0, relu_job(c, a, 64), 0);  // c <- f(a)
+    const char* name = "";
+    // (address, expected 8x10 contents) after both jobs, in ready order.
+    std::vector<std::pair<Addr, Matrix<std::int32_t>>> expect;
+    switch (hazard) {
+      case Hazard::kWaw:  // the second also writes c's last rows: it wins
+        name = "WAW";
+        sch.submit(t0, relu_job(c + kLast, b, 8), kSecond);
+        expect = {{c + kLast, f(B)}};
+        break;
+      case Hazard::kWar:  // the second writes a's last rows, read by the first
+        name = "WAR";
+        sch.submit(t0, relu_job(a + kLast, b, 8), kSecond);
+        expect = {{c + kLast, f(a_last)}, {a + kLast, f(B)}};
+        break;
+      case Hazard::kRaw:  // the second reads c's last rows, written by the first
+        name = "RAW";
+        sch.submit(t0, relu_job(b, c + kLast, 8), kSecond);
+        expect = {{c + kLast, f(a_last)}, {b, f(f(a_last))}};
+        break;
+    }
+    sch.drain();
+    expect_resolved_exactly_once(sch);
+
+    ASSERT_EQ(sch.completed().size(), 2u) << name;
+    const sched::JobReport& first = sch.completed()[0];
+    EXPECT_EQ(first.id, 1u) << name;
+    EXPECT_LT(first.first_dispatch, kSecond) << name;
+    EXPECT_GT(first.done, kSecond) << name;  // in flight when job 2 arrived
+    EXPECT_GE(sch.completed()[1].first_dispatch, first.done) << name;
+    EXPECT_GE(sch.stats().hazard_deferrals, 1u) << name;
+    const auto head = workloads::load_matrix<std::int32_t>(sys, c, 56, 10);
+    EXPECT_EQ(workloads::count_mismatches(head, f(a_head)), 0u) << name;
+    for (const auto& [addr, want] : expect) {
+      const auto got = workloads::load_matrix<std::int32_t>(sys, addr, 8, 10);
+      EXPECT_EQ(workloads::count_mismatches(got, want), 0u)
+          << name << " at 0x" << std::hex << addr;
+    }
   }
 }
 
