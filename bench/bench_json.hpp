@@ -31,8 +31,8 @@
 #include "common/config.hpp"
 #include "common/types.hpp"
 #include "grid.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/stats.hpp"
-#include "telemetry/critical_path.hpp"
 #include "telemetry/perfetto.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
@@ -134,19 +134,16 @@ class TelemetryCollector {
   /// True when --trace-out was given: benches then enable span recording
   /// on each System before driving it.
   bool tracing() const { return !trace_out_.empty(); }
-  /// True when --metrics-out was given: benches then enable per-op timing
-  /// capture (System::op_log().enable()) so the metrics document carries
-  /// per-job critical paths. Reading the op log never perturbs timing, but
-  /// the capture is opt-in to keep unmeasured runs allocation-free.
-  bool metrics_enabled() const { return !metrics_out_.empty(); }
 
   /// Fold one completed run in. `run` names the Perfetto process / the
-  /// metrics entry ("psram open/qos", ...). Pass the run's OpLog to embed
-  /// a "critical_paths" array (telemetry::CriticalPath over its entries —
-  /// consumed by `trace_summary.py --critical-path`).
+  /// metrics entry ("psram open/qos", ...). Pass the run's scheduler to
+  /// embed a "critical_paths" array (Scheduler::critical_paths(): one
+  /// entry per completed job, derived from its job table only when a
+  /// metrics file is written — consumed by
+  /// `trace_summary.py --critical-path`).
   void collect(const std::string& run, const telemetry::SpanTracer& spans,
                const telemetry::Registry& reg,
-               const telemetry::OpLog* oplog = nullptr) {
+               const sched::Scheduler* sched = nullptr) {
     spans_recorded_ += spans.size();
     spans_dropped_ += spans.dropped();
     if (tracing()) trace_.add_process(run, spans);
@@ -155,10 +152,9 @@ class TelemetryCollector {
       os << (first_run_ ? "" : ",\n") << "  {\"run\": \"" << json_escape(run)
          << "\", \"metrics\": ";
       reg.write_json(os);
-      if (oplog != nullptr && oplog->enabled()) {
+      if (sched != nullptr) {
         os << ", \"critical_paths\": ";
-        telemetry::CriticalPath::write_json(
-            os, telemetry::CriticalPath::analyze(*oplog));
+        telemetry::write_critical_paths_json(os, sched->critical_paths());
       }
       os << "}";
       runs_ += os.str();

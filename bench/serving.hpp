@@ -120,7 +120,6 @@ inline Result run(const SystemConfig& cfg, const Load& load,
   const benchjson::WallTimer timer;
   System sys(cfg);
   if (telem != nullptr && telem->tracing()) sys.spans().enable();
-  if (telem != nullptr && telem->metrics_enabled()) sys.op_log().enable();
   auto& adm = sys.admission();
   auto& sch = sys.scheduler();
   const unsigned tenants = load.tenants;
@@ -248,7 +247,7 @@ inline Result run(const SystemConfig& cfg, const Load& load,
   r.spans_recorded = sys.spans().size();
   r.spans_dropped = sys.spans().dropped();
   if (telem != nullptr) {
-    telem->collect(run_name, sys.spans(), sys.metrics(), &sys.op_log());
+    telem->collect(run_name, sys.spans(), sys.metrics(), &sys.scheduler());
   }
   r.host_wall_ms = timer.ms();
   return r;

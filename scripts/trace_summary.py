@@ -14,8 +14,9 @@ op execution vs end-to-end job latency) derived from the scheduler's
 same summary as a machine-readable document instead.
 
 Critical-path mode reads a *metrics* document (--metrics-out, not the
-trace): benches embed per-job critical paths (telemetry::CriticalPath
-over the op log) in each run entry, and
+trace): the serving benches embed one critical path per completed job
+(sched::Scheduler::critical_paths(), walked over the scheduler's own op
+records) in each run entry, and
 
     scripts/trace_summary.py --critical-path bench-out/qos_metrics.json
 
@@ -24,7 +25,10 @@ cycles decompose into (the stall buckets of the ops *on* the critical
 path — the cycles that bound end-to-end latency, as opposed to the
 aggregate stall counters which also count slack that hid behind other
 work). The paths come from the doc; this mode never reverse-engineers
-them from span events.
+them from span events. It also validates them and exits 1 unless, in
+every run, there is exactly one path per completed job (the run's
+"sched.jobs_completed" scalar), each path's stall totals sum to its
+length, and consecutive steps chain (ready[k] == finish[k-1]).
 
 CI mode:
 
@@ -216,18 +220,62 @@ def summarize(path, doc, events, as_json):
         print()
 
 
+def critical_path_errors(run):
+    """The invariants one run's critical paths must hold, as error lines:
+    one path per completed job, stall totals summing to the path length,
+    and consecutive steps chaining (ready[k] == finish[k-1])."""
+    name = run.get("run", "?")
+    paths = run["critical_paths"]
+    errors = []
+    completed = run.get("metrics", {}).get("scalars", {}).get(
+        "sched.jobs_completed")
+    if completed is None:
+        errors.append(f"run '{name}': no 'sched.jobs_completed' scalar")
+    elif len(paths) != completed:
+        errors.append(f"run '{name}': {len(paths)} critical path(s) but "
+                      f"{completed} completed job(s)")
+    for p in paths:
+        where = f"run '{name}' job {p.get('job', '?')}"
+        total = sum(p.get("totals", {}).values())
+        if total != p.get("length"):
+            errors.append(f"{where}: stall totals sum to {total}, path "
+                          f"length is {p.get('length')}")
+        steps = p.get("steps", [])
+        if not steps:
+            errors.append(f"{where}: path has no steps")
+        for k in range(1, len(steps)):
+            if steps[k].get("ready") != steps[k - 1].get("finish"):
+                errors.append(f"{where}: step {k} ready "
+                              f"{steps[k].get('ready')} != step {k - 1} "
+                              f"finish {steps[k - 1].get('finish')}")
+    return errors
+
+
 def critical_path_summary(path, as_json):
-    """Summarize the per-job critical paths embedded in a metrics doc."""
+    """Validate and summarize the per-job critical paths embedded in a
+    metrics doc."""
     doc = load_json(path, "metrics document")
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
         raise SystemExit(f"{path}: not a --metrics-out document "
                          f"(no 'runs' array) — critical-path mode reads "
                          f"the metrics file, not the trace")
 
+    runs = [r for r in doc["runs"] if "critical_paths" in r]
+    if not runs:
+        raise SystemExit(f"{path}: no run carries 'critical_paths' — "
+                         f"re-run a serving bench (pipeline_throughput, "
+                         f"qos_slo, fault_recovery) with --metrics-out")
+    errors = [e for run in runs for e in critical_path_errors(run)]
+    if errors:
+        print(f"{path}: critical-path check FAILED", file=sys.stderr)
+        for err in errors:
+            print(f"  {err}", file=sys.stderr)
+        sys.exit(1)
+
     runs_out = []
-    for run in doc["runs"]:
+    for run in runs:
         name = run.get("run", "?")
-        paths = run.get("critical_paths")
+        paths = run["critical_paths"]
         if not paths:
             continue
         lengths = [p["length"] for p in paths]
@@ -249,11 +297,6 @@ def critical_path_summary(path, as_json):
             "path_composition_cycles": dict(
                 sorted(comp.items(), key=lambda kv: -kv[1])),
         })
-
-    if not runs_out:
-        raise SystemExit(f"{path}: no run carries 'critical_paths' — "
-                         f"re-run the bench with --metrics-out so the op "
-                         f"log is enabled")
 
     if as_json:
         json.dump({"metrics": path, "runs": runs_out}, sys.stdout, indent=2)

@@ -36,7 +36,6 @@ System::System(SystemConfig cfg, crt::KernelLibrary library) : cfg_(cfg) {
   dma_->register_metrics(metrics_);
   ext_->backend().register_metrics(metrics_);
   sched_->set_telemetry(&metrics_);
-  sched_->set_op_log(&op_log_);
   qos_->set_telemetry(&metrics_, &spans_);
   if (cfg_.fault.enabled) {
     injector_ = std::make_unique<fault::Injector>(cfg_.fault, events_);

@@ -31,7 +31,6 @@
 #include "sched/scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "telemetry/critical_path.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "vpu/line_storage.hpp"
@@ -118,17 +117,12 @@ class System final : public cpu::DataPort {
   /// telemetry::TraceFile to export for ui.perfetto.dev).
   telemetry::SpanTracer& spans() { return spans_; }
   const telemetry::SpanTracer& spans() const { return spans_; }
-  /// Per-op timing log feeding telemetry::CriticalPath (disabled by
-  /// default; op_log().enable() to record — capture never perturbs timing).
-  telemetry::OpLog& op_log() { return op_log_; }
-  const telemetry::OpLog& op_log() const { return op_log_; }
   /// Stall-bucket totals of every kernel retired through either offload
   /// path (docs/OBSERVABILITY.md, "Cycle accounting").
   const sim::OpStallBreakdown& stall_totals() const {
     return crt_->stall_totals;
   }
   std::vector<vpu::VectorUnit>& vpus() { return vpus_; }
-  mem::MainMemory& external_memory() { return *ext_; }
   /// Timing model of the external memory (cfg.mem.backend selects it).
   mem::MemBackend& mem_backend() { return ext_->backend(); }
   const mem::MemBackend& mem_backend() const { return ext_->backend(); }
@@ -147,7 +141,6 @@ class System final : public cpu::DataPort {
   sim::EventQueue events_;
   telemetry::Registry metrics_;
   telemetry::SpanTracer spans_;
-  telemetry::OpLog op_log_;
   std::unique_ptr<mem::MainMemory> ext_;
   std::unique_ptr<mem::InstructionMemory> imem_;
   std::unique_ptr<vpu::LineStorage> storage_;

@@ -62,10 +62,6 @@ constexpr std::uint32_t align_up(std::uint32_t v, std::uint32_t align) {
   return (v + align - 1u) & ~(align - 1u);
 }
 
-constexpr std::uint32_t align_down(std::uint32_t v, std::uint32_t align) {
-  return v & ~(align - 1u);
-}
-
 constexpr bool is_pow2(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
 /// ceil(a / b) for unsigned integers; b must be non-zero.

@@ -78,15 +78,6 @@ enum class DeadlinePolicy : std::uint8_t {
   kDropOnExpiry = 2,    // admit, then shed undispatched jobs once expired
 };
 
-constexpr const char* deadline_policy_name(DeadlinePolicy p) {
-  switch (p) {
-    case DeadlinePolicy::kNone: return "none";
-    case DeadlinePolicy::kRejectAtSubmit: return "reject";
-    case DeadlinePolicy::kDropOnExpiry: return "drop";
-  }
-  return "?";
-}
-
 /// Per-tenant defaults of the QoS front end (qos::AdmissionController).
 /// Zero means "unlimited / disabled" for every knob, so the default
 /// configuration admits everything and the legacy direct-scheduler path is

@@ -55,13 +55,11 @@ void Injector::arm() {
             },
             "fault.failstop");
         if (f.recover_at != 0) {
-          ++pending_recoveries_;
           ev_->schedule(
               f.recover_at,
               [this, inst] {
                 const Cycle t = ev_->now();
                 ++stats_.instance_recoveries;
-                --pending_recoveries_;
                 if (spans_ != nullptr) {
                   spans_->instant(telemetry::track_vpu(inst), "fault.recover",
                                   t, -1, -1, inst);

@@ -76,7 +76,6 @@ class Injector final : public mem::DegradeView {
   /// Schedule every time-driven fault (fail-stop, recovery, degradation
   /// window markers) on the event queue. Call once, before any traffic.
   void arm();
-  bool armed() const { return armed_; }
   /// True when the plan declares at least one fault (liveness guard:
   /// a wedged scheduler is a bug only when no fault plan is active).
   bool plan_active() const { return !cfg_->events.empty(); }
@@ -89,10 +88,6 @@ class Injector final : public mem::DegradeView {
   /// the current cycle (1 = nominal).
   unsigned multiplier_now() const override;
   bool has_degrade_windows() const;
-
-  /// Recoveries scheduled but not yet fired (liveness-guard input: a
-  /// starved scheduler with a recovery pending is not wedged).
-  unsigned pending_recoveries() const { return pending_recoveries_; }
 
   const FaultStats& stats() const { return stats_; }
   const FaultConfig& config() const { return *cfg_; }
@@ -110,7 +105,6 @@ class Injector final : public mem::DegradeView {
   Listener* listener_ = nullptr;
   telemetry::SpanTracer* spans_ = nullptr;
   std::vector<PendingOp> pending_;  // op faults, declaration order
-  unsigned pending_recoveries_ = 0;
   bool armed_ = false;
   FaultStats stats_;
 };

@@ -94,7 +94,6 @@ class Llc {
 
   // --------------------- controller lock (allocator) -----------------
   void lock_until(Cycle t);
-  Cycle locked_until() const { return locked_until_; }
 
   // ------------------------- compute mode ----------------------------
   /// Claim the line backing (vpu, vreg) for kernel `uid`: evicts cached

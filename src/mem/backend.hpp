@@ -71,11 +71,6 @@ class MemBackend {
   /// used by the DMA descriptor model where only burst counts survive.
   virtual Cycle burst_overhead() const = 0;
 
-  /// Streaming cost of `bytes` at the external bus width (no overhead).
-  Cycle stream_cycles(std::uint64_t bytes) const {
-    return scaled(raw_stream(bytes));
-  }
-
   /// Install (or clear) the fault subsystem's degradation hook.
   void set_degrade(const DegradeView* view) { degrade_ = view; }
 

@@ -139,9 +139,6 @@ class AdmissionController {
   }
   /// Jobs admitted but not yet completed, shed or failed.
   std::uint64_t outstanding(unsigned tenant) const;
-  const TenantQos& tenant_spec(unsigned tenant) const {
-    return tenants_[tenant].spec;
-  }
   const sim::QosTenantStats& tenant_qos(unsigned tenant) const {
     return tenants_[tenant].stats;
   }

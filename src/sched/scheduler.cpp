@@ -217,7 +217,7 @@ void Scheduler::arrive(std::uint32_t job_idx, Cycle t) {
 }
 
 void Scheduler::op_ready(std::uint32_t job_idx, unsigned op_idx, Cycle t) {
-  jobs_[job_idx].ops[op_idx].first_ready = t;
+  jobs_[job_idx].ops[op_idx].timing.ready = t;
   park(job_idx, op_idx, -1, t);
 }
 
@@ -515,7 +515,6 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
     fl.verdict = injector_->next_op_fault(inst, t);
   }
   const bool hung = fl.verdict == fault::OpVerdict::kHang;
-  const std::uint64_t wd_seq = fl.dispatch_seq;
   inflight_[inst] = std::move(fl);
 
   if (!js.dispatched_any) {
@@ -537,19 +536,18 @@ void Scheduler::dispatch(unsigned inst, const ReadyEntry& e, Cycle t) {
                       static_cast<std::int64_t>(op.uid));
   }
 
-  // Per-op watchdog: only injected hangs are abortable (real completions
-  // are already-scheduled events), so the timer is armed only when a fault
-  // plan is wired — the fault-free path schedules nothing extra.
-  if (injector_ != nullptr && cfg_->fault.watchdog_timeout != 0) {
-    ctx_->events->schedule(
-        t + cfg_->fault.watchdog_timeout,
-        [this, inst, wd_seq] { watchdog_fire(inst, wd_seq, ctx_->events->now()); },
-        "sched.watchdog");
-  }
-
   if (!hung) {
     execs_[inst]->launch(std::move(op), std::move(plan), {inst}, t);
     return;
+  }
+  // Per-op watchdog: only injected hangs are abortable (real completions
+  // are already-scheduled events), so only a hang arms the timer.
+  if (cfg_->fault.watchdog_timeout != 0) {
+    const std::uint64_t seq = inflight_[inst].dispatch_seq;
+    ctx_->events->schedule(
+        t + cfg_->fault.watchdog_timeout,
+        [this, inst, seq] { watchdog_fire(inst, seq, ctx_->events->now()); },
+        "sched.watchdog");
   }
   // A hung kernel never reaches the executor: it looks launched (the same
   // instant the executor emits) but no chain runs, no line is claimed and
@@ -601,26 +599,16 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
   if (injector_ != nullptr) note_op_outcome(inst, /*ok=*/true, t);
 
   ++stats_.ops_completed;
-  bd += os.acc;  // failed attempts + retry backoff (all-zero fault-free)
-  ARCANE_ASSERT(bd.total() == t - os.first_ready,
-                "op stall buckets sum to " << bd.total() << " but op latency is "
-                << (t - os.first_ready) << " (job " << js.id << " op " << fl.op
-                << ")");
-  ctx_->stall_totals += bd;
-  tenant_stall_[js.tenant] += bd;
-  if (op_log_ != nullptr && op_log_->enabled()) {
-    telemetry::OpTiming ot;
-    ot.job_id = js.id;
-    ot.op = fl.op;
-    ot.tenant = static_cast<std::int32_t>(js.tenant);
-    ot.ready = os.first_ready;
-    ot.dispatch = fl.dispatch_at;
-    ot.finish = t;
-    ot.breakdown = bd;
-    ot.deps = os.spec.deps;
-    ot.dropped_job = js.dropped;
-    op_log_->record(std::move(ot));
-  }
+  telemetry::OpTiming& rec = os.timing;
+  rec.dispatch = fl.dispatch_at;
+  rec.finish = t;
+  rec.breakdown += bd;  // onto failed attempts + backoff (zero fault-free)
+  ARCANE_ASSERT(rec.breakdown.total() == t - rec.ready,
+                "op stall buckets sum to " << rec.breakdown.total()
+                << " but op latency is " << (t - rec.ready) << " (job "
+                << js.id << " op " << fl.op << ")");
+  ctx_->stall_totals += rec.breakdown;
+  tenant_stall_[js.tenant] += rec.breakdown;
 
   if (js.dropped) {
     // The job was shed while this op was on an instance: the work is done
@@ -641,10 +629,9 @@ void Scheduler::on_kernel_finish(crt::KernelExecutor& ex,
 
 void Scheduler::watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t) {
   const InFlight& cur = inflight_[inst];
-  // Stale token (the op retired and the slot was reused) or an op that is
-  // actually executing (its completion event will fire): no-op.
+  // Stale token: a fail-stop already aborted the hang (events cannot be
+  // cancelled) and the slot may since hold another op.
   if (!cur.valid || cur.dispatch_seq != seq) return;
-  if (cur.verdict != fault::OpVerdict::kHang) return;
   ++stats_.watchdog_fires;
   if (ctx_->spans != nullptr) {
     const JobState& js = jobs_[cur.job];
@@ -691,9 +678,9 @@ void Scheduler::fail_attempt(unsigned inst, const InFlight& fl,
   const unsigned op_idx = fl.op;
   JobState& js = jobs_[job_idx];
   OpState& os = js.ops[op_idx];
-  // The attempt's cycles fold into the op's accumulator: the telescoping
+  // The attempt's cycles fold into the op's breakdown: the telescoping
   // check runs at the completion that finally succeeds.
-  os.acc += attempt;
+  os.timing.breakdown += attempt;
   if (js.dropped) {
     // Shed or failed while on the instance: the attempt is cancelled with
     // the job.
@@ -710,7 +697,7 @@ void Scheduler::fail_attempt(unsigned inst, const InFlight& fl,
   ++stats_.retries;
   ++tenant_stats_[js.tenant].retries;
   const Cycle backoff = cfg_->fault.retry_backoff;
-  os.acc[sim::StallBucket::kRetryBackoff] += backoff;
+  os.timing.breakdown[sim::StallBucket::kRetryBackoff] += backoff;
   if (ctx_->spans != nullptr) {
     ctx_->spans->instant(telemetry::track_tenant(js.tenant), "sched.retry", t,
                          static_cast<std::int32_t>(js.tenant),
@@ -814,6 +801,19 @@ void Scheduler::on_instance_recover(unsigned inst, Cycle t) {
     if (health_[k].quarantined) migrate_queue(k);
   }
   try_dispatch(t);
+}
+
+std::vector<telemetry::JobCriticalPath> Scheduler::critical_paths() const {
+  std::vector<telemetry::JobCriticalPath> paths;
+  std::vector<telemetry::OpNode> nodes;
+  for (const JobState& js : jobs_) {  // ascending id
+    if (js.dropped || js.ops_left != 0) continue;  // shed, failed or open
+    nodes.clear();
+    for (const OpState& os : js.ops) nodes.push_back({os.timing, os.spec.deps});
+    paths.push_back(telemetry::critical_path(
+        js.id, static_cast<std::int32_t>(js.tenant), nodes));
+  }
+  return paths;
 }
 
 bool Scheduler::conflicts(const OpSpec& spec) const {

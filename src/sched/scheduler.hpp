@@ -157,10 +157,16 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// TenantStats fields become `sched.*` registry views. `reg` may be null.
   void set_telemetry(telemetry::Registry* reg);
 
-  /// Record one telemetry::OpTiming per retired op into `log` (owned by the
-  /// System). The log is consulted only at completion events and only when
-  /// enabled, so critical-path capture never perturbs simulated timing.
-  void set_op_log(telemetry::OpLog* log) { op_log_ = log; }
+  /// Retired timing of op `op` of job `job_id`: first ready, the finishing
+  /// attempt's dispatch, finish, and the stall breakdown that tiles
+  /// [ready, finish] across every attempt. Meaningful once the op retired.
+  const telemetry::OpTiming& op_timing(std::uint64_t job_id,
+                                       unsigned op) const {
+    return jobs_[job_id - 1].ops[op].timing;
+  }
+  /// The critical path of every completed job, in ascending job id, walked
+  /// over the op timings above. Shed and failed jobs have none.
+  std::vector<telemetry::JobCriticalPath> critical_paths() const;
 
   /// Observer invoked once per resolved job (completed, shed or failed),
   /// after its report is recorded and before the dispatch scan — the hook
@@ -192,11 +198,11 @@ class Scheduler final : public crt::KernelExecutor::Client,
     // Failure handling (src/fault/): attempt tracking for bounded retry.
     unsigned attempts = 0;       // dispatches so far (retries = attempts-1)
     unsigned prev_instance = 0;  // instance of the latest dispatch
-    Cycle first_ready = 0;       // ready_at of the first attempt
-    /// Stall buckets of failed/aborted attempts plus retry backoff; the
-    /// final completion folds this in so the telescoping invariant holds
-    /// over [first_ready, finish] across every attempt.
-    sim::OpStallBreakdown acc{};
+    /// The op's one record: ready is the first attempt's ready_at; failed
+    /// attempts and retry backoff accumulate into the breakdown, and the
+    /// finishing attempt adds its own, so the telescoping invariant holds
+    /// over [ready, finish] across every attempt.
+    telemetry::OpTiming timing;
   };
   struct JobState {
     std::uint64_t id = 0;
@@ -276,9 +282,9 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// failover preference, when >= 0) and 2 for a quarantined one, and load
   /// counts an in-flight kernel as one queued unit.
   unsigned pick_park_instance(int avoid) const;
-  /// Per-op watchdog: fires `watchdog_timeout` after dispatch; a stale
-  /// token or a non-hung op is a no-op (real completions cannot be
-  /// aborted — events already scheduled always fire).
+  /// Watchdog of a hung op: fires `watchdog_timeout` after its dispatch
+  /// and aborts it; a stale token (a fail-stop aborted it first) is a
+  /// no-op. Only hangs arm one: real completions cannot be aborted.
   void watchdog_fire(unsigned inst, std::uint64_t seq, Cycle t);
   /// Abort the hung op on `inst` (watchdog or fail-stop): its hung window
   /// counts as retry backoff, then fail_attempt.
@@ -286,7 +292,7 @@ class Scheduler final : public crt::KernelExecutor::Client,
   /// Free `inst`'s slot and retire its kernel `op` from the back end.
   InFlight release_slot(unsigned inst, const crt::KernelOp& op, Cycle t);
   /// The one failed-attempt step (`fl` was freed from `inst`): fold
-  /// `attempt` into the op's accumulator; a dropped job's op is cancelled,
+  /// `attempt` into the op's timing record; a dropped job's op is cancelled,
   /// otherwise `inst`'s health is updated and the op either retries
   /// (backoff + requeue) or, on exhaustion, fails the job.
   void fail_attempt(unsigned inst, const InFlight& fl,
@@ -326,7 +332,6 @@ class Scheduler final : public crt::KernelExecutor::Client,
   std::vector<unsigned> tenant_priority_;
   std::vector<sim::TenantStats> tenant_stats_;
   std::vector<sim::OpStallBreakdown> tenant_stall_;
-  telemetry::OpLog* op_log_ = nullptr;
   std::vector<JobState> jobs_;
   std::vector<JobReport> completed_;
   std::vector<JobReport> shed_;

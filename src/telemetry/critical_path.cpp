@@ -1,7 +1,6 @@
 #include "telemetry/critical_path.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 
 namespace arcane::telemetry {
@@ -20,77 +19,49 @@ void write_breakdown(std::ostream& os, const sim::OpStallBreakdown& bd) {
 
 }  // namespace
 
-std::vector<JobCriticalPath> CriticalPath::analyze(const OpLog& log) {
-  // Per-job op index -> timing. std::map keys give ascending job id for
-  // free; jobs are few relative to ops, so the log-factor lookup is noise.
-  struct JobOps {
-    std::int32_t tenant = -1;
-    bool shed = false;
-    std::map<std::uint16_t, const OpTiming*> ops;
-  };
-  std::map<std::uint64_t, JobOps> by_job;
-  for (const OpTiming& t : log.entries()) {
-    JobOps& j = by_job[t.job_id];
-    j.tenant = t.tenant;
-    j.shed |= t.dropped_job;
-    j.ops[t.op] = &t;
+JobCriticalPath critical_path(std::uint64_t job_id, std::int32_t tenant,
+                              const std::vector<OpNode>& ops) {
+  // Sink: the last-finishing op (ties -> lowest op index).
+  unsigned cur = 0;
+  for (unsigned i = 1; i < ops.size(); ++i) {
+    if (ops[i].timing.finish > ops[cur].timing.finish) cur = i;
   }
 
-  std::vector<JobCriticalPath> out;
-  out.reserve(by_job.size());
-  for (const auto& [job_id, j] : by_job) {
-    if (j.shed) continue;  // DAG never completed: no meaningful path
+  JobCriticalPath path;
+  path.job_id = job_id;
+  path.tenant = tenant;
+  path.done = ops[cur].timing.finish;
 
-    // Sink: the last-finishing op (ties -> lowest op index, so map order).
-    const OpTiming* cur = nullptr;
-    for (const auto& [op, t] : j.ops) {
-      if (cur == nullptr || t->finish > cur->finish) cur = t;
-    }
-    if (cur == nullptr) continue;
-
-    JobCriticalPath path;
-    path.job_id = job_id;
-    path.tenant = j.tenant;
-    path.done = cur->finish;
-
-    // Walk binding edges backwards: the dep whose finish equals this op's
-    // ready time is the one that actually gated it. An op ready at job
-    // arrival (or whose binding dep fell out of a saturated log) ends the
-    // walk. Steps collect in reverse; edges record the slack of every
-    // recorded dep (0 on the binding edge by definition).
-    std::vector<CriticalPathStep> rev;
-    while (cur != nullptr) {
-      rev.push_back(
-          {cur->op, cur->ready, cur->dispatch, cur->finish, cur->breakdown});
-      const OpTiming* binding = nullptr;
-      for (unsigned d : cur->deps) {
-        const auto it = j.ops.find(static_cast<std::uint16_t>(d));
-        if (it == j.ops.end()) continue;  // log saturated before this op
-        const OpTiming* dep = it->second;
-        path.edges.push_back({dep->op, cur->op,
-                              cur->ready >= dep->finish
-                                  ? cur->ready - dep->finish
-                                  : Cycle{0}});
-        if (dep->finish == cur->ready &&
-            (binding == nullptr || dep->op < binding->op)) {
-          binding = dep;
-        }
+  // Walk binding edges backwards: the dep whose finish equals this op's
+  // ready time is the one that actually gated it. An op ready at job
+  // arrival ends the walk. Steps and edges collect in reverse; edges record
+  // the slack of every dep (0 on the binding edge by definition).
+  for (;;) {
+    const OpTiming& t = ops[cur].timing;
+    path.steps.push_back({t, static_cast<std::uint16_t>(cur)});
+    int binding = -1;
+    for (unsigned d : ops[cur].deps) {
+      const Cycle dep_finish = ops[d].timing.finish;
+      path.edges.push_back(
+          {static_cast<std::uint16_t>(d), static_cast<std::uint16_t>(cur),
+           t.ready >= dep_finish ? t.ready - dep_finish : Cycle{0}});
+      if (dep_finish == t.ready &&
+          (binding < 0 || d < static_cast<unsigned>(binding))) {
+        binding = static_cast<int>(d);
       }
-      cur = binding;
     }
-    std::reverse(rev.begin(), rev.end());
-    path.steps = std::move(rev);
-    path.start = path.steps.front().ready;
-    for (const CriticalPathStep& s : path.steps) path.totals += s.breakdown;
-    // Edges were appended walking backwards; present them in path order.
-    std::reverse(path.edges.begin(), path.edges.end());
-    out.push_back(std::move(path));
+    if (binding < 0) break;
+    cur = static_cast<unsigned>(binding);
   }
-  return out;
+  std::reverse(path.steps.begin(), path.steps.end());
+  path.start = path.steps.front().ready;
+  for (const CriticalPathStep& s : path.steps) path.totals += s.breakdown;
+  std::reverse(path.edges.begin(), path.edges.end());
+  return path;
 }
 
-void CriticalPath::write_json(std::ostream& os,
-                              const std::vector<JobCriticalPath>& paths) {
+void write_critical_paths_json(std::ostream& os,
+                               const std::vector<JobCriticalPath>& paths) {
   os << '[';
   for (std::size_t p = 0; p < paths.size(); ++p) {
     const JobCriticalPath& jp = paths[p];

@@ -1,15 +1,15 @@
-// DAG critical-path extraction over recorded per-op timings.
+// DAG critical-path extraction over one job's retired op timings.
 //
-// The scheduler records one OpTiming per retired op into an OpLog (opt-in,
-// like the span tracer: disabled it costs one branch per completion, and
-// recording never perturbs simulated timing). CriticalPath::analyze then
-// walks each completed job's DAG backwards from its last-finishing op along
-// *binding* dependency edges — a dep whose finish time equals the op's
-// ready time is the edge that actually gated it — and reports the path's
-// composition (which ops, which stall buckets) plus the slack of every
-// dependency edge into a path op. Because consecutive path steps satisfy
-// ready[k] == finish[k-1], the path's bucket totals telescope to exactly
-// (job done - first path op ready): the job's latency is fully attributed.
+// sched::Scheduler keeps one OpTiming per op in its job table — the one
+// record of a retired op — and Scheduler::critical_paths() runs
+// critical_path() over every completed job. The walk starts at the job's
+// last-finishing op and follows *binding* dependency edges backwards — a
+// dep whose finish time equals the op's ready time is the edge that
+// actually gated it — and reports the path's composition (which ops,
+// which stall buckets) plus the slack of every dependency edge into a path
+// op. Because consecutive path steps satisfy ready[k] == finish[k-1], the
+// path's bucket totals telescope to exactly (job done - first path op
+// ready): the job's latency is fully attributed.
 //
 // See docs/OBSERVABILITY.md "Critical-path extraction".
 #ifndef ARCANE_TELEMETRY_CRITICAL_PATH_HPP_
@@ -24,63 +24,25 @@
 
 namespace arcane::telemetry {
 
-/// One retired scheduler op: identity, lifetime timestamps, its exclusive
-/// stall-bucket decomposition and its DAG dependencies (op indices within
-/// the same job).
+/// A retired op's lifetime timestamps and its exclusive stall-bucket
+/// decomposition, which tiles [ready, finish] across every attempt.
 struct OpTiming {
-  std::uint64_t job_id = 0;
-  std::uint16_t op = 0;
-  std::int32_t tenant = -1;
-  Cycle ready = 0;     // became dispatchable (deps done / job arrival)
-  Cycle dispatch = 0;  // picked by an instance
+  Cycle ready = 0;     // first became dispatchable (deps done / job arrival)
+  Cycle dispatch = 0;  // picked by an instance (the attempt that finished)
   Cycle finish = 0;    // kernel retired
   sim::OpStallBreakdown breakdown{};
-  std::vector<unsigned> deps;
-  bool dropped_job = false;  // op of a job shed mid-flight (ran to completion)
 };
 
-/// Bounded drop-new recorder of OpTimings, owned by arcane::System and fed
-/// by sched::Scheduler. Disabled by default; enable() before driving the
-/// scheduler to capture per-op records for critical-path analysis.
-class OpLog {
- public:
-  explicit OpLog(std::size_t capacity = 1 << 16) : capacity_(capacity) {}
-
-  void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
-  bool enabled() const { return enabled_; }
-
-  void record(OpTiming t) {
-    if (!enabled_) return;
-    if (entries_.size() >= capacity_) {
-      ++dropped_;
-      return;
-    }
-    entries_.push_back(std::move(t));
-  }
-
-  std::size_t size() const { return entries_.size(); }
-  std::uint64_t dropped() const { return dropped_; }
-  const std::vector<OpTiming>& entries() const { return entries_; }
-  void clear() {
-    entries_.clear();
-    dropped_ = 0;
-  }
-
- private:
-  std::size_t capacity_;
-  bool enabled_ = false;
-  std::uint64_t dropped_ = 0;
-  std::vector<OpTiming> entries_;
+/// One op of a job's DAG as the walk reads it: its timing and the op
+/// indices (within the same job) it depends on.
+struct OpNode {
+  const OpTiming& timing;
+  const std::vector<unsigned>& deps;
 };
 
 /// One op on a job's critical path, in execution order.
-struct CriticalPathStep {
+struct CriticalPathStep : OpTiming {
   std::uint16_t op = 0;
-  Cycle ready = 0;
-  Cycle dispatch = 0;
-  Cycle finish = 0;
-  sim::OpStallBreakdown breakdown{};
 };
 
 /// A dependency edge into a critical-path op: `slack` is how much later
@@ -106,19 +68,17 @@ struct JobCriticalPath {
   Cycle length() const { return done - start; }
 };
 
-class CriticalPath {
- public:
-  /// Extract the critical path of every job with at least one recorded op,
-  /// in ascending job id. Jobs shed mid-flight are skipped (their DAG never
-  /// completed, so a "critical path" would be meaningless).
-  static std::vector<JobCriticalPath> analyze(const OpLog& log);
+/// The critical path of a completed job whose op i is `ops[i]` (at least
+/// one op, every one retired). Ties go to the lowest op index, both for
+/// the sink (the last-finishing op) and among binding deps.
+JobCriticalPath critical_path(std::uint64_t job_id, std::int32_t tenant,
+                              const std::vector<OpNode>& ops);
 
-  /// Deterministic JSON array of per-job reports (the "critical_paths"
-  /// entry of a bench metrics document; consumed by trace_summary.py
-  /// --critical-path).
-  static void write_json(std::ostream& os,
-                         const std::vector<JobCriticalPath>& paths);
-};
+/// Deterministic JSON array of per-job reports (the "critical_paths" entry
+/// of a bench metrics document; consumed by trace_summary.py
+/// --critical-path).
+void write_critical_paths_json(std::ostream& os,
+                               const std::vector<JobCriticalPath>& paths);
 
 }  // namespace arcane::telemetry
 

@@ -1,13 +1,14 @@
 // Cycle accounting and critical-path extraction: the bucket-sum invariant
 // (every retired op's stall buckets telescope to its lifetime) across
 // memory backends and scheduling policies under multi-tenant contention,
-// registry-view consistency, determinism, the "free when read" guarantee
-// (enabling the op log never moves simulated time), and
-// telemetry::CriticalPath on both synthetic and end-to-end op logs.
+// registry-view consistency, determinism, and telemetry::critical_path on
+// synthetic DAGs and on the scheduler's own op records (completed jobs
+// only).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
 #include <vector>
 
 #include "arcane/system.hpp"
@@ -22,11 +23,12 @@ namespace {
 
 using sched::PipelineData;
 using sched::PipelineSlot;
-using telemetry::CriticalPath;
 using telemetry::JobCriticalPath;
-using telemetry::OpLog;
+using telemetry::OpNode;
 using telemetry::OpTiming;
 using workloads::Rng;
+
+constexpr unsigned kPipelineOps = 4;  // ops of sched::pipeline_job
 
 SystemConfig contended_config(MemBackendKind backend, SchedPolicy policy) {
   SystemConfig cfg = SystemConfig::paper(4);
@@ -63,11 +65,11 @@ void run_contended(System& sys, unsigned jobs_per_tenant = 3) {
 
 // ---------------------------- bucket-sum invariant ----------------------
 
-// Every recorded op's buckets must sum to exactly its lifetime
+// Every retired op's buckets must sum to exactly its lifetime
 // (finish - ready), on every backend x policy combination. The scheduler
 // also asserts this live on completion; this test re-derives it from the
-// op log so a future bucket added without updating the accounting fails
-// here even in builds that disable the runtime assert.
+// scheduler's op records so a future bucket added without updating the
+// accounting fails here even in builds that disable the runtime assert.
 TEST(CycleAccountingTest, BucketSumInvariantAcrossBackendsAndPolicies) {
   for (MemBackendKind backend :
        {MemBackendKind::kIdealSram, MemBackendKind::kBurstPsram,
@@ -76,19 +78,21 @@ TEST(CycleAccountingTest, BucketSumInvariantAcrossBackendsAndPolicies) {
          {SchedPolicy::kFifo, SchedPolicy::kRoundRobin, SchedPolicy::kSjf,
           SchedPolicy::kPriority}) {
       System sys(contended_config(backend, policy));
-      sys.op_log().enable();
       run_contended(sys);
-      const auto& entries = sys.op_log().entries();
-      ASSERT_EQ(entries.size(), 9u * 4u)
+      const auto& sch = sys.scheduler();
+      ASSERT_EQ(sch.completed().size(), 9u)
           << backend_name(backend) << "/" << sched_policy_name(policy);
       sim::OpStallBreakdown sum{};
-      for (const OpTiming& op : entries) {
-        EXPECT_EQ(op.breakdown.total(), op.finish - op.ready)
-            << backend_name(backend) << "/" << sched_policy_name(policy)
-            << " job " << op.job_id << " op " << op.op;
-        EXPECT_LE(op.ready, op.dispatch);
-        EXPECT_LT(op.dispatch, op.finish);
-        sum += op.breakdown;
+      for (const sched::JobReport& rep : sch.completed()) {
+        for (unsigned op = 0; op < kPipelineOps; ++op) {
+          const OpTiming& t = sch.op_timing(rep.id, op);
+          EXPECT_EQ(t.breakdown.total(), t.finish - t.ready)
+              << backend_name(backend) << "/" << sched_policy_name(policy)
+              << " job " << rep.id << " op " << op;
+          EXPECT_LE(t.ready, t.dispatch);
+          EXPECT_LT(t.dispatch, t.finish);
+          sum += t.breakdown;
+        }
       }
       // The system ledger is exactly the sum over retired ops.
       const sim::OpStallBreakdown& totals = sys.stall_totals();
@@ -131,91 +135,65 @@ TEST(CycleAccountingTest, TenantPartitionAndRegistryViewsAgree) {
   }
 }
 
-// Identical runs produce bit-identical op logs and stall totals.
+// Identical runs produce bit-identical op records and stall totals.
 TEST(CycleAccountingTest, AccountingIsDeterministic) {
   auto capture = [] {
     System sys(
         contended_config(MemBackendKind::kDramTiming, SchedPolicy::kSjf));
-    sys.op_log().enable();
     run_contended(sys);
-    return std::make_pair(sys.op_log().entries(), sys.stall_totals());
+    const auto& sch = sys.scheduler();
+    std::vector<Cycle> flat;
+    for (const sched::JobReport& rep : sch.completed()) {
+      flat.push_back(rep.id);
+      for (unsigned op = 0; op < kPipelineOps; ++op) {
+        const OpTiming& t = sch.op_timing(rep.id, op);
+        flat.insert(flat.end(), {t.ready, t.dispatch, t.finish});
+        flat.insert(flat.end(), std::begin(t.breakdown.cycles),
+                    std::end(t.breakdown.cycles));
+      }
+    }
+    return std::make_pair(flat, sys.stall_totals());
   };
   const auto a = capture();
   const auto b = capture();
-  ASSERT_EQ(a.first.size(), b.first.size());
-  for (std::size_t i = 0; i < a.first.size(); ++i) {
-    EXPECT_EQ(a.first[i].job_id, b.first[i].job_id) << i;
-    EXPECT_EQ(a.first[i].op, b.first[i].op) << i;
-    EXPECT_EQ(a.first[i].ready, b.first[i].ready) << i;
-    EXPECT_EQ(a.first[i].dispatch, b.first[i].dispatch) << i;
-    EXPECT_EQ(a.first[i].finish, b.first[i].finish) << i;
-    for (unsigned k = 0; k < sim::kNumStallBuckets; ++k) {
-      EXPECT_EQ(a.first[i].breakdown.cycles[k], b.first[i].breakdown.cycles[k])
-          << i;
-    }
-  }
+  EXPECT_EQ(a.first, b.first);
   for (unsigned k = 0; k < sim::kNumStallBuckets; ++k) {
     EXPECT_EQ(a.second.cycles[k], b.second.cycles[k]);
   }
 }
 
-// "Free when read": enabling the op log records timings but must not move
-// a single simulated timestamp — completion times and stall totals are
-// bit-identical with and without capture.
-TEST(CycleAccountingTest, OpLogCaptureNeverPerturbsTiming) {
-  auto run = [](bool capture) {
-    System sys(contended_config(MemBackendKind::kBurstPsram,
-                                SchedPolicy::kRoundRobin));
-    if (capture) sys.op_log().enable();
-    run_contended(sys);
-    std::vector<Cycle> done;
-    for (const auto& rep : sys.scheduler().completed()) {
-      done.push_back(rep.done);
-    }
-    return std::make_pair(done, sys.stall_totals());
-  };
-  const auto with = run(true);
-  const auto without = run(false);
-  EXPECT_EQ(with.first, without.first);
-  for (unsigned k = 0; k < sim::kNumStallBuckets; ++k) {
-    EXPECT_EQ(with.second.cycles[k], without.second.cycles[k]);
-  }
-}
-
 // ---------------------------- critical path -----------------------------
 
-OpTiming timing(std::uint64_t job, std::uint16_t op, Cycle ready,
-                Cycle dispatch, Cycle finish, std::vector<unsigned> deps,
-                bool dropped = false) {
+/// A synthetic retired op: a two-bucket decomposition that satisfies the
+/// sum invariant (the pre-dispatch wait is queue time, execution compute).
+OpTiming timing(Cycle ready, Cycle dispatch, Cycle finish) {
   OpTiming t;
-  t.job_id = job;
-  t.op = op;
-  t.tenant = 0;
   t.ready = ready;
   t.dispatch = dispatch;
   t.finish = finish;
-  // A two-bucket decomposition that satisfies the sum invariant: the
-  // pre-dispatch wait is queue time, execution is compute.
   t.breakdown[sim::StallBucket::kQueueWait] = dispatch - ready;
   t.breakdown[sim::StallBucket::kCompute] = finish - dispatch;
-  t.deps = std::move(deps);
-  t.dropped_job = dropped;
   return t;
+}
+
+/// The walk's view of a synthetic job: op i is (ops[i], deps[i]).
+std::vector<OpNode> nodes(const std::vector<OpTiming>& ops,
+                          const std::vector<std::vector<unsigned>>& deps) {
+  std::vector<OpNode> n;
+  for (std::size_t i = 0; i < ops.size(); ++i) n.push_back({ops[i], deps[i]});
+  return n;
 }
 
 // Diamond DAG: op0 -> {op1, op2} -> op3. op2 finishes last, so the path is
 // 0 -> 2 -> 3 and op1's edge into op3 carries the slack.
 TEST(CriticalPathTest, DiamondPicksBindingEdgesAndReportsSlack) {
-  OpLog log;
-  log.enable();
-  log.record(timing(7, 0, /*ready=*/100, /*dispatch=*/110, /*fin=*/200, {}));
-  log.record(timing(7, 1, 200, 205, 300, {0}));
-  log.record(timing(7, 2, 200, 210, 340, {0}));
-  log.record(timing(7, 3, 340, 350, 400, {1, 2}));
+  const std::vector<OpTiming> ops = {
+      timing(/*ready=*/100, /*dispatch=*/110, /*fin=*/200),
+      timing(200, 205, 300), timing(200, 210, 340), timing(340, 350, 400)};
+  const std::vector<std::vector<unsigned>> deps = {{}, {0}, {0}, {1, 2}};
 
-  const std::vector<JobCriticalPath> paths = CriticalPath::analyze(log);
-  ASSERT_EQ(paths.size(), 1u);
-  const JobCriticalPath& p = paths[0];
+  const JobCriticalPath p =
+      telemetry::critical_path(7, /*tenant=*/0, nodes(ops, deps));
   EXPECT_EQ(p.job_id, 7u);
   EXPECT_EQ(p.start, 100u);
   EXPECT_EQ(p.done, 400u);
@@ -240,32 +218,25 @@ TEST(CriticalPathTest, DiamondPicksBindingEdgesAndReportsSlack) {
   EXPECT_EQ(slack_1_3, 40u);
 }
 
-// Shed jobs are skipped; ties on the sink op resolve to the lowest index.
-TEST(CriticalPathTest, SkipsShedJobsAndBreaksSinkTiesLow) {
-  OpLog log;
-  log.enable();
-  // Job 1: shed mid-flight — one op ran to completion anyway.
-  log.record(timing(1, 0, 0, 5, 50, {}, /*dropped=*/true));
-  // Job 2: two independent ops finishing at the same cycle.
-  log.record(timing(2, 0, 0, 4, 90, {}));
-  log.record(timing(2, 1, 0, 6, 90, {}));
+// Ties on the sink op resolve to the lowest index.
+TEST(CriticalPathTest, BreaksSinkTiesLow) {
+  // Two independent ops finishing at the same cycle.
+  const std::vector<OpTiming> ops = {timing(0, 4, 90), timing(0, 6, 90)};
+  const std::vector<std::vector<unsigned>> deps = {{}, {}};
 
-  const auto paths = CriticalPath::analyze(log);
-  ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].job_id, 2u);
-  ASSERT_EQ(paths[0].steps.size(), 1u);
-  EXPECT_EQ(paths[0].steps[0].op, 0u);  // tie -> lowest op index
+  const JobCriticalPath p = telemetry::critical_path(2, 0, nodes(ops, deps));
+  ASSERT_EQ(p.steps.size(), 1u);
+  EXPECT_EQ(p.steps[0].op, 0u);  // tie -> lowest op index
 }
 
-// End to end: analyze a real contended run's op log. Every completed job
-// gets a path whose steps chain contiguously and whose bucket totals
-// telescope to its length.
+// End to end: the scheduler's critical paths of a real contended run.
+// Every completed job gets a path whose steps chain contiguously and whose
+// bucket totals telescope to its length.
 TEST(CriticalPathTest, EndToEndPathsTelescopeToJobLatency) {
   System sys(
       contended_config(MemBackendKind::kBurstPsram, SchedPolicy::kFifo));
-  sys.op_log().enable();
   run_contended(sys);
-  const auto paths = CriticalPath::analyze(sys.op_log());
+  const auto paths = sys.scheduler().critical_paths();
   ASSERT_EQ(paths.size(), 9u);  // one per completed job
   for (const JobCriticalPath& p : paths) {
     ASSERT_FALSE(p.steps.empty()) << "job " << p.job_id;
@@ -275,33 +246,51 @@ TEST(CriticalPathTest, EndToEndPathsTelescopeToJobLatency) {
     }
     EXPECT_EQ(p.totals.total(), p.length()) << "job " << p.job_id;
     EXPECT_EQ(p.done, p.steps.back().finish);
-  }
-  // The 4-op pipeline is a chain: with every op recorded, the path covers
-  // all four ops of at least the uncontended jobs (binding edges may skip
-  // ops only when an op was ready before its dep finished, which a chain
-  // forbids).
-  std::map<std::uint64_t, std::size_t> steps_by_job;
-  for (const auto& p : paths) steps_by_job[p.job_id] = p.steps.size();
-  for (const auto& [job, n] : steps_by_job) {
-    EXPECT_EQ(n, 4u) << "job " << job;
+    // The 4-op pipeline is a chain: binding edges may skip ops only when
+    // an op was ready before its dep finished, which a chain forbids.
+    EXPECT_EQ(p.steps.size(), kPipelineOps) << "job " << p.job_id;
   }
 }
 
-// The op log stops recording (and counts drops) at capacity instead of
-// growing unbounded; disabled logs record nothing at zero cost.
-TEST(CycleAccountingTest, OpLogBoundedAndOptIn) {
-  OpLog small(/*capacity=*/2);
-  small.record(timing(0, 0, 0, 1, 2, {}));  // disabled: ignored
-  EXPECT_EQ(small.size(), 0u);
-  small.enable();
-  small.record(timing(0, 0, 0, 1, 2, {}));
-  small.record(timing(0, 1, 2, 3, 4, {0}));
-  small.record(timing(0, 2, 4, 5, 6, {1}));  // over capacity: dropped
-  EXPECT_EQ(small.size(), 2u);
-  EXPECT_EQ(small.dropped(), 1u);
-  small.clear();
-  EXPECT_EQ(small.size(), 0u);
-  EXPECT_EQ(small.dropped(), 0u);
+// A drop-on-expiry job shed after its first op retired (its next op was
+// still queued) gets no critical path: paths cover exactly the completed
+// jobs, in ascending id.
+TEST(CriticalPathTest, ShedJobWithRetiredOpsGetsNoPath) {
+  System sys(
+      contended_config(MemBackendKind::kBurstPsram, SchedPolicy::kFifo));
+  auto& sch = sys.scheduler();
+  const unsigned t = sch.add_tenant("t");
+  Rng rng(31);
+  std::vector<PipelineSlot> slots;
+  for (unsigned j = 0; j < 3; ++j) {
+    slots.emplace_back(sys.data_base() + 0x10000 + j * 0x8000);
+    sched::place_pipeline_data(sys, slots.back(),
+                               sched::random_pipeline_data(rng));
+    sched::JobSpec job = sched::pipeline_job(slots.back());
+    if (j == 1) {
+      // Expires while its first op runs: shed when the second is queued.
+      job.deadline = 1;
+      job.shed_on_expiry = true;
+    }
+    sch.submit(t, std::move(job), 0);
+  }
+  sch.drain();
+
+  ASSERT_EQ(sch.shed().size(), 1u);
+  const std::uint64_t shed_id = sch.shed()[0].id;
+  EXPECT_GT(sch.op_timing(shed_id, 0).finish, 0u);  // op 0 retired
+  EXPECT_EQ(sch.stats().ops_completed, 2 * kPipelineOps + 1);
+
+  std::vector<std::uint64_t> done_ids;
+  for (const sched::JobReport& rep : sch.completed()) {
+    done_ids.push_back(rep.id);
+  }
+  std::sort(done_ids.begin(), done_ids.end());
+  std::vector<std::uint64_t> path_ids;
+  for (const JobCriticalPath& p : sch.critical_paths()) {
+    path_ids.push_back(p.job_id);
+  }
+  EXPECT_EQ(path_ids, done_ids);
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // fault-disabled path stays bit-identical, fail-stop triggers quarantine +
 // failover with DAG ordering preserved, work parked while the whole fleet
 // was down migrates on re-admission, the watchdog fires at the exact
-// configured cycle, a fail-stop aborts a hung op at once, retry exhaustion
-// fails the job (never hangs the drain), and per-tenant retry/failover
-// counters partition the scheduler totals.
+// configured cycle and only hangs arm it, a fail-stop aborts a hung op at
+// once, retry exhaustion fails the job (never hangs the drain), and
+// per-tenant retry/failover counters partition the scheduler totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -250,6 +250,23 @@ TEST(FaultWatchdogTest, FiresAtTheExactConfiguredCycle) {
   EXPECT_EQ(sch.stats().jobs_completed, 1u);
   const auto out = workloads::load_matrix<std::int32_t>(sys, slot.out, 4, 4);
   EXPECT_EQ(workloads::count_mismatches(out, sched::golden_pipeline(data)), 0u);
+}
+
+// Only a hang arms the watchdog: with a long timeout and no hang (one
+// transient error, retried) no timer outlives the work, so the drain ends
+// at the makespan instead of running the clock on to a timeout.
+TEST(FaultWatchdogTest, OnlyHangsArmATimer) {
+  SystemConfig cfg = fault_config(MemBackendKind::kBurstPsram, 2);
+  cfg.fault.enabled = true;
+  cfg.fault.watchdog_timeout = 1000000;
+  cfg.fault.max_retries = 1;
+  cfg.fault.retry_backoff = 100;
+  cfg.fault.events.push_back(fault_event(FaultKind::kTransientError, 0, 0));
+  System sys(cfg);
+  const RunResult r = run_pipelines(sys, 4);
+  EXPECT_EQ(sys.scheduler().stats().retries, 1u);
+  EXPECT_EQ(sys.scheduler().stats().watchdog_fires, 0u);
+  EXPECT_EQ(sys.events().now(), r.makespan);
 }
 
 // A fail-stop on an instance holding a hung op aborts the op at once (the
