@@ -13,11 +13,16 @@ For every workload and every metric in the runs' JSON (end-to-end metrics
 with --trace 0, per-layer metrics with --trace 1) it prints A's and B's
 medians and quartiles, the B/A median ratio and B's win count: the pairs in
 which B beat A in the metric's better direction, read from BENCHMARK.json.
-A run that fails (non-zero exit or failed cases) aborts the comparison.
+With --trace 0 it also pools every run's per-repetition wall times (the
+`rep wall_s:` line) per side and prints their min, first quartile and
+median: on a shared host the per-run medians swing with load while the
+fastest repetitions hold steady. A run that fails (non-zero exit or failed
+cases) aborts the comparison.
 """
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -48,7 +53,19 @@ def run_side(tree, workload, seed, seconds, trace):
         sys.stderr.write(r.stderr[-2000:])
         raise SystemExit(f"perf_ab: {tree} {workload} seed {seed} failed "
                          f"(exit {r.returncode})")
-    return {k: v["value"] for k, v in res["metrics"].items()}
+    return {k: v["value"] for k, v in res["metrics"].items()}, rep_walls(lines)
+
+
+REP_WALLS = re.compile(r"^reps = .*rep wall_s:((?:\s+[0-9.eE+-]+)+)\s*$")
+
+
+def rep_walls(lines):
+    """Per-repetition wall times from a run's `rep wall_s:` line, or []."""
+    for line in lines:
+        m = REP_WALLS.match(line)
+        if m:
+            return [float(x) for x in m.group(1).split()]
+    return []
 
 
 def quartiles(xs):
@@ -93,12 +110,15 @@ def main():
     summary = {}
     for workload in args.workload:
         runs = {"a": [], "b": []}
+        walls = {"a": [], "b": []}
         for i in range(args.pairs):
             order = ("a", "b") if i % 2 == 0 else ("b", "a")
             for side in order:
                 tree = args.a if side == "a" else args.b
-                runs[side].append(run_side(tree, workload, args.seed,
-                                           args.seconds, args.trace))
+                metrics, reps = run_side(tree, workload, args.seed,
+                                         args.seconds, args.trace)
+                runs[side].append(metrics)
+                walls[side] += reps
             print(f"{workload}: pair {i + 1}/{args.pairs} done",
                   file=sys.stderr)
         rows = compare(runs["a"], runs["b"], directions)
@@ -116,6 +136,18 @@ def main():
                    "ratio": ratio, "b_wins": wins, "pairs": args.pairs,
                    "better": better}
             for name, qa, qb, ratio, wins, better in rows}
+        if walls["a"] and walls["b"]:
+            pooled = {side: {"n": len(w), "min": min(w),
+                             "q1": quartiles(w)[0], "median": quartiles(w)[1]}
+                      for side, w in walls.items()}
+            pa, pb = pooled["a"], pooled["b"]
+            print(f"  {'pooled rep wall_s':28s} A n={pa['n']} min "
+                  f"{pa['min']:.4g} q1 {pa['q1']:.4g} median "
+                  f"{pa['median']:.4g} | B n={pb['n']} min {pb['min']:.4g} "
+                  f"q1 {pb['q1']:.4g} median {pb['median']:.4g} | B/A min "
+                  f"{pb['min'] / pa['min']:.3f} median "
+                  f"{pb['median'] / pa['median']:.3f}")
+            summary[workload]["pooled_rep_wall_s"] = pooled
     if args.json:
         Path(args.json).write_text(json.dumps(summary, indent=2) + "\n")
 

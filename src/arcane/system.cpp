@@ -27,6 +27,8 @@ System::System(SystemConfig cfg, crt::KernelLibrary library) : cfg_(cfg) {
                                                     cfg_.qos);
   bridge_ = std::make_unique<bridge::Bridge>(cfg_, *runtime_);
   host_ = std::make_unique<cpu::HostCpu>(cfg_, *imem_, *this, bridge_.get());
+  // read/write try the LLC hit path first for the whole data region.
+  set_hit_window(*llc_, cfg_.mem.data_base, cfg_.mem.data_bytes);
   llc_->set_spans(&spans_);
   crt_->spans = &spans_;
   bridge_->set_spans(&spans_);
@@ -95,7 +97,7 @@ void System::read_bytes(Addr addr, std::span<std::uint8_t> out) {
 
 Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
   const auto& m = cfg_.mem;
-  if (addr >= m.data_base && addr + bytes <= m.data_base + m.data_bytes) {
+  if (in_region(addr, bytes, m.data_base, m.data_bytes)) {
     Cycle done;
     if (llc_->try_host_hit(addr, bytes, /*is_write=*/false, out, now, done)) {
       return done;
@@ -108,7 +110,7 @@ Cycle System::read(Addr addr, unsigned bytes, void* out, Cycle now) {
 
 Cycle System::write(Addr addr, unsigned bytes, const void* in, Cycle now) {
   const auto& m = cfg_.mem;
-  if (addr >= m.data_base && addr + bytes <= m.data_base + m.data_bytes) {
+  if (in_region(addr, bytes, m.data_base, m.data_bytes)) {
     Cycle done;
     void* data = const_cast<void*>(in);
     if (llc_->try_host_hit(addr, bytes, /*is_write=*/true, data, now, done)) {
@@ -122,7 +124,7 @@ Cycle System::write(Addr addr, unsigned bytes, const void* in, Cycle now) {
 
 Cycle System::uncached_read(Addr addr, unsigned bytes, void* out, Cycle now) {
   const auto& m = cfg_.mem;
-  if (addr >= m.mmio_base && addr + bytes <= m.mmio_base + m.mmio_bytes) {
+  if (in_region(addr, bytes, m.mmio_base, m.mmio_bytes)) {
     events_.run_until(now);
     const std::uint32_t v = bridge_->mmio_read(addr - m.mmio_base);
     std::memcpy(out, &v, bytes);
@@ -133,7 +135,7 @@ Cycle System::uncached_read(Addr addr, unsigned bytes, void* out, Cycle now) {
 
 Cycle System::uncached_write(Addr addr, unsigned bytes, Cycle now) {
   const auto& m = cfg_.mem;
-  if (addr >= m.mmio_base && addr + bytes <= m.mmio_base + m.mmio_bytes) {
+  if (in_region(addr, bytes, m.mmio_base, m.mmio_bytes)) {
     return now + 1;  // configuration writes are accepted and ignored
   }
   throw Error("bus fault: write outside mapped regions");

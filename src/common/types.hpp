@@ -12,6 +12,13 @@ namespace arcane {
 /// Physical byte address in the host address space (RV32 ⇒ 32-bit).
 using Addr = std::uint32_t;
 
+/// True when [addr, addr + bytes) lies inside [base, base + size). Written
+/// in offset form so no sum wraps at the top of the 32-bit address space.
+constexpr bool in_region(Addr addr, std::uint32_t bytes, Addr base,
+                         std::uint32_t size) {
+  return addr - base < size && bytes <= size - (addr - base);
+}
+
 /// Simulation time in core clock cycles. All clocks in the system (host CPU,
 /// eCPU, LLC, VPUs, DMA) share one domain, as in the paper (§V-A, 250 MHz).
 using Cycle = std::uint64_t;

@@ -1,11 +1,21 @@
 #include "cpu/cpu.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
+#include <optional>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "isa/disasm.hpp"
+#include "llc/llc.hpp"
+
+#if defined(__GNUC__)
+#define ARCANE_ALWAYS_INLINE __attribute__((always_inline))
+#else
+#define ARCANE_ALWAYS_INLINE
+#endif
 
 namespace arcane::cpu {
 
@@ -25,6 +35,25 @@ const char* halt_reason_name(HaltReason r) {
   return "?";
 }
 
+namespace {
+
+/// Control transfers, system, CSR, cv.setup, xmnmc and illegal
+/// instructions end a translated block.
+bool ends_block(Op op) {
+  switch (isa::op_class(op)) {
+    case isa::OpClass::kAlu:
+    case isa::OpClass::kMulDiv:
+    case isa::OpClass::kLoad:
+    case isa::OpClass::kStore:
+    case isa::OpClass::kSimd:
+      return false;
+    default:
+      return true;
+  }
+}
+
+}  // namespace
+
 HostCpu::HostCpu(const SystemConfig& cfg, mem::InstructionMemory& imem,
                  DataPort& port, Coprocessor* copro)
     : cfg_(cfg), timing_(cfg.cpu), imem_(&imem), port_(&port), copro_(copro) {
@@ -32,9 +61,15 @@ HostCpu::HostCpu(const SystemConfig& cfg, mem::InstructionMemory& imem,
 }
 
 void HostCpu::invalidate_decode_cache() {
+  arena_.clear();
   const std::size_t n = imem_->size() / 2;
-  if (decode_cache_.size() != n) {
-    decode_cache_.resize(n);
+  if (block_index_.size() != n) {
+    // translate() keeps the arena below 2n + kMaxBlockLen entries; every
+    // offset must fit beside the length in an index entry.
+    ARCANE_CHECK(
+        2 * n + kMaxBlockLen < (std::size_t{1} << (32 - kBlockLenBits)),
+        "instruction memory too large for the block index");
+    block_index_.resize(n);
     decode_gen_.assign(n, 0);
     gen_ = 1;
     return;
@@ -43,6 +78,30 @@ void HostCpu::invalidate_decode_cache() {
     std::fill(decode_gen_.begin(), decode_gen_.end(), 0u);
     gen_ = 1;
   }
+}
+
+std::uint32_t HostCpu::translate(Addr pc) {
+  // Jumps into the middle of blocks re-translate overlapping tails; a
+  // program that keeps doing so starts over rather than growing the arena
+  // without bound.
+  if (arena_.size() >= 2 * block_index_.size()) invalidate_decode_cache();
+  const std::size_t begin = arena_.size();
+  const Addr imem_base = imem_->base();
+  const std::uint32_t imem_bytes = imem_->size();
+  Addr at = pc;
+  for (;;) {
+    const DecodedInst& d = arena_.emplace_back(isa::decode(imem_->fetch(at)));
+    at += d.size;
+    if (ends_block(d.op) || arena_.size() - begin == kMaxBlockLen ||
+        !in_region(at, 2, imem_base, imem_bytes)) {
+      break;
+    }
+  }
+  const std::size_t slot = (pc - imem_base) / 2;
+  block_index_[slot] = static_cast<std::uint32_t>(
+      begin << kBlockLenBits | (arena_.size() - begin));
+  decode_gen_[slot] = gen_;
+  return block_index_[slot];
 }
 
 void HostCpu::reset(Addr pc, Addr sp) {
@@ -55,6 +114,45 @@ void HostCpu::reset(Addr pc, Addr sp) {
   stats_ = {};
 }
 
+HostCpu::PortResult HostCpu::port_access(Addr addr, unsigned bytes,
+                                         bool is_write, std::uint32_t value,
+                                         Cycle now) {
+  // Misaligned accesses that cross a 32-bit boundary split into two bus
+  // transactions, as on the CV32E40X LSU.
+  const unsigned p1 = std::min(bytes, 4u - (addr & 3u));
+  std::uint8_t buf[4] = {0, 0, 0, 0};
+  std::memcpy(buf, &value, 4);
+  PortResult r;
+  try {
+    if (is_write) {
+      r.done = port_->write(addr, p1, buf, now);
+      if (p1 < bytes) {
+        r.done = port_->write(addr + p1, bytes - p1, buf + p1, r.done);
+      }
+    } else {
+      r.done = port_->read(addr, p1, buf, now);
+      if (p1 < bytes) {
+        r.done = port_->read(addr + p1, bytes - p1, buf + p1, r.done);
+      }
+    }
+  } catch (const Error&) {
+    return r;
+  }
+  std::memcpy(&r.data, buf, 4);
+  r.ok = true;
+  return r;
+}
+
+std::optional<Coprocessor::IssueResult> HostCpu::offload(
+    const DecodedInst& d, std::uint32_t rs1, std::uint32_t rs2,
+    std::uint32_t rs3, Cycle now) {
+  try {
+    return copro_->offload(d, rs1, rs2, rs3, now);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
+}
+
 HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
   // The hot loop keeps pc, time and the retire counter in locals (registers)
   // and writes them back to the members at every exit, through halt().
@@ -65,13 +163,15 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
                                  ? ~0ull
                                  : instret + max_instructions;
   const bool pulp = xcvpulp();
-  // Instruction memory and the decoded-instruction cache are fixed while
-  // the program runs (loads happen between runs).
+  // Instruction memory is fixed while the program runs (loads happen
+  // between runs); the arena moves only when a block is translated.
   const Addr imem_base = imem_->base();
   const std::uint32_t imem_bytes = imem_->size();
-  DecodedInst* const decoded = decode_cache_.data();
-  std::uint32_t* const decoded_gen = decode_gen_.data();
-  const std::uint32_t gen = gen_;
+  const std::uint32_t* const block_index = block_index_.data();
+  const std::uint32_t* const decoded_gen = decode_gen_.data();
+  std::uint32_t gen = gen_;
+  const DecodedInst* arena = arena_.data();
+  const DataPort::HitWindow window = port_->hit_window();
   auto halt = [&](HaltReason why) {
     pc_ = pc;
     time_ = time;
@@ -84,41 +184,83 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
   auto sext8 = [](std::uint32_t v) { return static_cast<std::uint32_t>(static_cast<std::int32_t>(static_cast<std::int8_t>(v))); };
   auto sext16 = [](std::uint32_t v) { return static_cast<std::uint32_t>(static_cast<std::int32_t>(static_cast<std::int16_t>(v))); };
 
-  // Misaligned accesses that cross a 32-bit boundary split into two bus
-  // transactions, as on the CV32E40X LSU.
-  auto mem_read = [&](Addr addr, unsigned bytes, std::uint32_t& raw) {
-    const unsigned p1 = std::min(bytes, 4u - (addr & 3u));
-    std::uint8_t buf[4] = {0, 0, 0, 0};
-    Cycle done = port_->read(addr, p1, buf, time);
-    if (p1 < bytes) {
-      done = port_->read(addr + p1, bytes - p1, buf + p1, done);
+  // Data accesses have a compile-time width, so the inline LLC hit path
+  // folds it: a single transaction (one not crossing a 32-bit boundary)
+  // inside the port's hit window tries Llc::try_host_hit first, and
+  // everything else takes the out-of-line port path. load/store charge the
+  // LSU timing and counters and return false on a bus fault. Both are
+  // forced inline: an out-of-line copy would pin pc and time in memory.
+  using Width1 = std::integral_constant<unsigned, 1>;
+  using Width2 = std::integral_constant<unsigned, 2>;
+  using Width4 = std::integral_constant<unsigned, 4>;
+  auto load = [&](auto width, Addr addr,
+                  std::uint32_t& raw) ARCANE_ALWAYS_INLINE {
+    constexpr unsigned bytes = decltype(width)::value;
+    std::uint32_t v = 0;
+    Cycle done;
+    if (!((addr & 3u) + bytes <= 4 &&
+          in_region(addr, bytes, window.base, window.bytes) &&
+          window.llc->try_host_hit(addr, bytes, /*is_write=*/false, &v, time,
+                                   done))) {
+      const PortResult r = port_access(addr, bytes, /*is_write=*/false, 0,
+                                       time);
+      if (!r.ok) return false;
+      v = r.data;
+      done = r.done;
     }
-    std::memcpy(&raw, buf, 4);
-    return done;
+    raw = v;
+    const Cycle start = time + timing_.load_base;
+    stats_.stall_cycles += (done > start) ? done - start : 0;
+    time = std::max(done, start);
+    ++stats_.loads;
+    return true;
   };
-  auto mem_write = [&](Addr addr, unsigned bytes, std::uint32_t value) {
-    const unsigned p1 = std::min(bytes, 4u - (addr & 3u));
-    std::uint8_t buf[4];
-    std::memcpy(buf, &value, 4);
-    Cycle done = port_->write(addr, p1, buf, time);
-    if (p1 < bytes) {
-      done = port_->write(addr + p1, bytes - p1, buf + p1, done);
+  auto store = [&](auto width, Addr addr,
+                   std::uint32_t value) ARCANE_ALWAYS_INLINE {
+    constexpr unsigned bytes = decltype(width)::value;
+    Cycle done;
+    if (!((addr & 3u) + bytes <= 4 &&
+          in_region(addr, bytes, window.base, window.bytes) &&
+          window.llc->try_host_hit(addr, bytes, /*is_write=*/true, &value,
+                                   time, done))) {
+      const PortResult r = port_access(addr, bytes, /*is_write=*/true, value,
+                                       time);
+      if (!r.ok) return false;
+      done = r.done;
     }
-    return done;
+    const Cycle start = time + timing_.store_base;
+    stats_.stall_cycles += (done > start) ? done - start : 0;
+    time = std::max(done, start);
+    ++stats_.stores;
+    return true;
   };
 
-  // Every iteration either halts or retires exactly one instruction.
-  while (instret < stop) {
-    const Addr off = pc - imem_base;  // a pc below the base wraps high
-    if (std::uint64_t{off} + 2 > imem_bytes) {
-      return halt(HaltReason::kBusFault);
+  // Every iteration either halts or retires exactly one instruction. At a
+  // block boundary the budget, imem-bounds and generation checks run once
+  // and the next block is cut to the remaining budget, so run(k) slices
+  // stay exact; pc, time and instret still advance per instruction, so a
+  // halt mid-block reports exactly what a one-instruction step would.
+  const DecodedInst* inst = nullptr;
+  const DecodedInst* block_end = nullptr;
+  for (;;) {
+    if (inst == block_end) {
+      if (instret >= stop) return halt(HaltReason::kMaxInstructions);
+      if (!in_region(pc, 2, imem_base, imem_bytes)) {
+        return halt(HaltReason::kBusFault);
+      }
+      const std::size_t slot = (pc - imem_base) / 2;
+      std::uint32_t entry = block_index[slot];
+      if (decoded_gen[slot] != gen) {
+        entry = translate(pc);
+        gen = gen_;
+        arena = arena_.data();
+      }
+      inst = arena + (entry >> kBlockLenBits);
+      block_end = inst + std::min<std::uint64_t>(
+                             entry & ((1u << kBlockLenBits) - 1),
+                             stop - instret);
     }
-    const std::size_t slot = off / 2;
-    if (decoded_gen[slot] != gen) {
-      decoded[slot] = isa::decode(imem_->fetch(pc));
-      decoded_gen[slot] = gen;
-    }
-    const DecodedInst& d = decoded[slot];
+    const DecodedInst& d = *inst;
     if (d.op == Op::kIllegal) return halt(HaltReason::kIllegalInstruction);
 
     Addr next_pc = pc + d.size;
@@ -189,45 +331,14 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
       }
 
       // ---- memory ----
-      case Op::kLb: case Op::kLh: case Op::kLw: case Op::kLbu: case Op::kLhu: {
-        const Addr addr = rs1 + static_cast<Addr>(d.imm);
-        const unsigned bytes = (d.op == Op::kLw) ? 4 : (d.op == Op::kLh || d.op == Op::kLhu) ? 2 : 1;
-        std::uint32_t raw = 0;
-        const Cycle start = time + timing_.load_base;
-        Cycle done;
-        try {
-          done = mem_read(addr, bytes, raw);
-        } catch (const Error&) {
-          return halt(HaltReason::kBusFault);
-        }
-        stats_.stall_cycles += (done > start) ? done - start : 0;
-        time = std::max(done, start);
-        switch (d.op) {
-          case Op::kLb: rd_val = sext8(raw); break;
-          case Op::kLh: rd_val = sext16(raw); break;
-          case Op::kLbu: rd_val = raw & 0xFFu; break;
-          case Op::kLhu: rd_val = raw & 0xFFFFu; break;
-          default: rd_val = raw; break;
-        }
-        write_rd = true;
-        ++stats_.loads;
-        break;
-      }
-      case Op::kSb: case Op::kSh: case Op::kSw: {
-        const Addr addr = rs1 + static_cast<Addr>(d.imm);
-        const unsigned bytes = (d.op == Op::kSw) ? 4 : (d.op == Op::kSh) ? 2 : 1;
-        const Cycle start = time + timing_.store_base;
-        Cycle done;
-        try {
-          done = mem_write(addr, bytes, rs2);
-        } catch (const Error&) {
-          return halt(HaltReason::kBusFault);
-        }
-        stats_.stall_cycles += (done > start) ? done - start : 0;
-        time = std::max(done, start);
-        ++stats_.stores;
-        break;
-      }
+      case Op::kLb: if (!load(Width1{}, rs1 + static_cast<Addr>(d.imm), rd_val)) return halt(HaltReason::kBusFault); rd_val = sext8(rd_val); write_rd = true; break;
+      case Op::kLbu: if (!load(Width1{}, rs1 + static_cast<Addr>(d.imm), rd_val)) return halt(HaltReason::kBusFault); rd_val &= 0xFFu; write_rd = true; break;
+      case Op::kLh: if (!load(Width2{}, rs1 + static_cast<Addr>(d.imm), rd_val)) return halt(HaltReason::kBusFault); rd_val = sext16(rd_val); write_rd = true; break;
+      case Op::kLhu: if (!load(Width2{}, rs1 + static_cast<Addr>(d.imm), rd_val)) return halt(HaltReason::kBusFault); rd_val &= 0xFFFFu; write_rd = true; break;
+      case Op::kLw: if (!load(Width4{}, rs1 + static_cast<Addr>(d.imm), rd_val)) return halt(HaltReason::kBusFault); write_rd = true; break;
+      case Op::kSb: if (!store(Width1{}, rs1 + static_cast<Addr>(d.imm), rs2)) return halt(HaltReason::kBusFault); break;
+      case Op::kSh: if (!store(Width2{}, rs1 + static_cast<Addr>(d.imm), rs2)) return halt(HaltReason::kBusFault); break;
+      case Op::kSw: if (!store(Width4{}, rs1 + static_cast<Addr>(d.imm), rs2)) return halt(HaltReason::kBusFault); break;
 
       // ---- M ----
       case Op::kMul: rd_val = rs1 * rs2; write_rd = true; time += timing_.mul; ++stats_.mul_div; break;
@@ -272,50 +383,34 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
       case Op::kEbreak: time += timing_.alu; pc = next_pc; return halt(HaltReason::kEbreak);
 
       // ---- XCVPULP ----
+      // Post-increment the pointer after the access. rd == rs1 is
+      // architecturally unpredictable; we define rd (the loaded value) to
+      // win.
       case Op::kCvLbPost: case Op::kCvLbuPost: case Op::kCvLhPost:
       case Op::kCvLhuPost: case Op::kCvLwPost: {
         if (!pulp) return halt(HaltReason::kIllegalInstruction);
-        const unsigned bytes = (d.op == Op::kCvLwPost) ? 4 : (d.op == Op::kCvLhPost || d.op == Op::kCvLhuPost) ? 2 : 1;
-        std::uint32_t raw = 0;
-        const Cycle start = time + timing_.load_base;
-        Cycle done;
-        try {
-          done = mem_read(rs1, bytes, raw);
-        } catch (const Error&) {
-          return halt(HaltReason::kBusFault);
-        }
-        stats_.stall_cycles += (done > start) ? done - start : 0;
-        time = std::max(done, start);
+        bool ok;
         switch (d.op) {
-          case Op::kCvLbPost: rd_val = sext8(raw); break;
-          case Op::kCvLbuPost: rd_val = raw & 0xFFu; break;
-          case Op::kCvLhPost: rd_val = sext16(raw); break;
-          case Op::kCvLhuPost: rd_val = raw & 0xFFFFu; break;
-          default: rd_val = raw; break;
+          case Op::kCvLbPost: ok = load(Width1{}, rs1, rd_val); rd_val = sext8(rd_val); break;
+          case Op::kCvLbuPost: ok = load(Width1{}, rs1, rd_val); rd_val &= 0xFFu; break;
+          case Op::kCvLhPost: ok = load(Width2{}, rs1, rd_val); rd_val = sext16(rd_val); break;
+          case Op::kCvLhuPost: ok = load(Width2{}, rs1, rd_val); rd_val &= 0xFFFFu; break;
+          default: ok = load(Width4{}, rs1, rd_val); break;
         }
+        if (!ok) return halt(HaltReason::kBusFault);
         write_rd = true;
-        ++stats_.loads;
-        // Post-increment the pointer. rd == rs1 is architecturally
-        // unpredictable; we define rd (the loaded value) to win.
         regs_[d.rs1] = rs1 + static_cast<std::uint32_t>(d.imm);
-        if (d.rs1 == 0) regs_[0] = 0;
+        regs_[0] = 0;
         break;
       }
       case Op::kCvSbPost: case Op::kCvShPost: case Op::kCvSwPost: {
         if (!pulp) return halt(HaltReason::kIllegalInstruction);
-        const unsigned bytes = (d.op == Op::kCvSwPost) ? 4 : (d.op == Op::kCvShPost) ? 2 : 1;
-        const Cycle start = time + timing_.store_base;
-        Cycle done;
-        try {
-          done = mem_write(rs1, bytes, rs2);
-        } catch (const Error&) {
-          return halt(HaltReason::kBusFault);
-        }
-        stats_.stall_cycles += (done > start) ? done - start : 0;
-        time = std::max(done, start);
-        ++stats_.stores;
+        const bool ok = d.op == Op::kCvSbPost   ? store(Width1{}, rs1, rs2)
+                        : d.op == Op::kCvShPost ? store(Width2{}, rs1, rs2)
+                                                : store(Width4{}, rs1, rs2);
+        if (!ok) return halt(HaltReason::kBusFault);
         regs_[d.rs1] = rs1 + static_cast<std::uint32_t>(d.imm);
-        if (d.rs1 == 0) regs_[0] = 0;
+        regs_[0] = 0;
         break;
       }
       case Op::kCvMac:
@@ -430,15 +525,12 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
       case Op::kXmnmc: {
         if (copro_ == nullptr) return halt(HaltReason::kIllegalInstruction);
         time += timing_.offload_handshake;
-        Coprocessor::IssueResult r;
-        try {
-          r = copro_->offload(d, rs1, rs2, regs_[d.rs3], time);
-        } catch (const Error&) {
-          return halt(HaltReason::kBusFault);
-        }
-        if (!r.accepted) return halt(HaltReason::kIllegalInstruction);
-        stats_.stall_cycles += (r.complete_at > time) ? r.complete_at - time : 0;
-        time = std::max(time, r.complete_at);
+        const std::optional<Coprocessor::IssueResult> r =
+            offload(d, rs1, rs2, regs_[d.rs3], time);
+        if (!r) return halt(HaltReason::kBusFault);
+        if (!r->accepted) return halt(HaltReason::kIllegalInstruction);
+        stats_.stall_cycles += (r->complete_at > time) ? r->complete_at - time : 0;
+        time = std::max(time, r->complete_at);
         ++stats_.offloads;
         break;
       }
@@ -448,7 +540,11 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
         return halt(HaltReason::kIllegalInstruction);
     }
 
-    if (write_rd && d.rd != 0) regs_[d.rd] = rd_val;
+    // x0 is rewritten to zero after every write: cheaper than a branch.
+    if (write_rd) {
+      regs_[d.rd] = rd_val;
+      regs_[0] = 0;
+    }
 
     // Hardware-loop back-edges (zero overhead). Inner loop (index 0) has
     // priority; a loop fires when the *sequential* next pc reaches its end.
@@ -469,10 +565,12 @@ HostCpu::RunResult HostCpu::run(std::uint64_t max_instructions) {
       }
     }
 
+    // A redirect (taken branch, jump, hardware-loop back-edge) leaves the
+    // block; the next iteration finds the target's.
+    ++inst;
+    if (next_pc != pc + d.size) block_end = inst;
     pc = next_pc;
   }
-
-  return halt(HaltReason::kMaxInstructions);
 }
 
 }  // namespace arcane::cpu

@@ -10,11 +10,17 @@
 // unknown custom-2 instructions are offloaded to a Coprocessor over a
 // CV-X-IF-like interface — exactly the integration contract of the paper's
 // bridge (§III-B).
+//
+// Host speed: the interpreter runs translated basic blocks (straight-line
+// runs of pre-decoded instructions, see HostCpu) and completes LLC hits
+// inside a port's hit window without the virtual DataPort call. Neither
+// changes a simulated number.
 #ifndef ARCANE_CPU_CPU_HPP_
 #define ARCANE_CPU_CPU_HPP_
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/config.hpp"
@@ -23,6 +29,10 @@
 #include "isa/rv32.hpp"
 #include "mem/imem.hpp"
 #include "sim/stats.hpp"
+
+namespace arcane::llc {
+class Llc;
+}
 
 namespace arcane::cpu {
 
@@ -34,6 +44,26 @@ class DataPort {
   virtual Cycle read(Addr addr, unsigned bytes, void* out, Cycle now) = 0;
   virtual Cycle write(Addr addr, unsigned bytes, const void* in,
                       Cycle now) = 0;
+
+  /// Inline hit window (non-virtual). A port that sets one promises that
+  /// its read/write of a single transaction inside [base, base + bytes)
+  /// first tries `llc->try_host_hit` and returns its completion time when
+  /// that succeeds; the CPU then makes that call itself and skips the
+  /// port. Ports that leave the window empty see every access.
+  struct HitWindow {
+    llc::Llc* llc = nullptr;
+    Addr base = 0;
+    std::uint32_t bytes = 0;
+  };
+  const HitWindow& hit_window() const { return window_; }
+
+ protected:
+  void set_hit_window(llc::Llc& llc, Addr base, std::uint32_t bytes) {
+    window_ = {&llc, base, bytes};
+  }
+
+ private:
+  HitWindow window_;
 };
 
 /// CV-X-IF-like coprocessor attachment point.
@@ -83,14 +113,34 @@ class HostCpu {
   Cycle time() const { return time_; }
 
   const sim::CpuStats& stats() const { return stats_; }
-  /// Drop the decoded-instruction cache (after loading a new program).
-  /// O(1): bumps the generation stamp instead of rewriting both backing
-  /// vectors — hot in multi-job scheduler runs that construct and reload
-  /// many CPUs.
+  /// Drop every translated block (after loading a new program): imem is
+  /// immutable between load_program calls, so this is the only
+  /// invalidation. O(1): bumps the generation stamp and empties the arena
+  /// instead of rewriting the per-halfword arrays — hot in multi-job
+  /// scheduler runs that construct and reload many CPUs.
   void invalidate_decode_cache();
 
  private:
   bool xcvpulp() const { return cfg_.host_cpu == HostCpuKind::kCv32e40px; }
+  /// Translate the block starting at `pc` (inside imem) into the arena and
+  /// stamp its index entry; returns that entry.
+  std::uint32_t translate(Addr pc);
+  /// The port path of one data access (a write sends `value`, a read
+  /// returns `data`); ok is false on a bus fault. It and offload() are
+  /// out of line so the interpreter loop holds no exception state.
+  struct PortResult {
+    Cycle done = 0;
+    std::uint32_t data = 0;
+    bool ok = false;
+  };
+  PortResult port_access(Addr addr, unsigned bytes, bool is_write,
+                         std::uint32_t value, Cycle now);
+  /// Offload one xmnmc instruction; nullopt on a bus fault.
+  std::optional<Coprocessor::IssueResult> offload(const isa::DecodedInst& d,
+                                                  std::uint32_t rs1,
+                                                  std::uint32_t rs2,
+                                                  std::uint32_t rs3,
+                                                  Cycle now);
 
   SystemConfig cfg_;
   CpuTiming timing_;
@@ -110,10 +160,19 @@ class HostCpu {
   };
   std::array<HwLoop, 2> hwloop_{};
 
-  // Decoded-instruction cache, indexed by halfword. An entry is valid only
-  // when its generation stamp matches gen_; invalidation bumps gen_ so the
-  // arrays are never rewritten (capacity reused across program loads).
-  std::vector<isa::DecodedInst> decode_cache_;
+  // Translated blocks. A block is a straight-line run of decoded
+  // instructions in arena_ that ends at the first control transfer,
+  // system, CSR, cv.setup, xmnmc or illegal instruction, at the end of imem
+  // or after kMaxBlockLen instructions. block_index_ maps a start halfword
+  // to (arena offset << kBlockLenBits | length); an entry is valid only
+  // when its decode_gen_ stamp matches gen_. A jump into the middle of a
+  // block translates a new block from there. Invalidation bumps gen_ and
+  // empties the arena, so the per-halfword arrays are never rewritten
+  // (capacity reused across program loads).
+  static constexpr unsigned kMaxBlockLen = 64;
+  static constexpr unsigned kBlockLenBits = 7;
+  std::vector<isa::DecodedInst> arena_;
+  std::vector<std::uint32_t> block_index_;
   std::vector<std::uint32_t> decode_gen_;
   std::uint32_t gen_ = 1;
   sim::CpuStats stats_;

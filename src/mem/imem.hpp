@@ -22,14 +22,16 @@ class InstructionMemory {
 
   void load(Addr addr, const std::vector<std::uint32_t>& words) {
     ARCANE_CHECK(addr % 4 == 0, "program base must be word aligned");
-    ARCANE_CHECK(addr >= base_ && addr + words.size() * 4 <= base_ + size(),
-                 "program does not fit in instruction memory");
+    ARCANE_CHECK(
+        words.size() <= size() / 4 &&
+            contains(addr, static_cast<std::uint32_t>(words.size() * 4)),
+        "program does not fit in instruction memory");
     std::memcpy(data_.data() + (addr - base_), words.data(),
                 words.size() * 4);
   }
 
   bool contains(Addr addr, std::uint32_t len) const {
-    return addr >= base_ && addr + len <= base_ + size();
+    return in_region(addr, len, base_, size());
   }
 
   /// Fetch 32 bits at a 16-bit aligned pc (RVC allows halfword alignment).

@@ -654,9 +654,15 @@ void Scheduler::abort_hung_inflight(unsigned inst, Cycle t) {
   const InFlight fl = release_slot(inst, inflight_[inst].hung_op, t);
   // The pre-dispatch buckets are real work; the hung window [launch,
   // abort] is failure-handling time, charged to retry_backoff so the
-  // telescoping invariant spans the abort.
+  // telescoping invariant spans the abort. An abort inside the eCPU
+  // dispatch slice (a short watchdog or an early fail-stop) cuts that
+  // slice at `t` instead: no bucket goes below zero.
   sim::OpStallBreakdown attempt = fl.pre;
-  attempt[sim::StallBucket::kRetryBackoff] += t - fl.post_dispatch;
+  if (t >= fl.post_dispatch) {
+    attempt[sim::StallBucket::kRetryBackoff] += t - fl.post_dispatch;
+  } else {
+    attempt[sim::StallBucket::kDispatch] -= fl.post_dispatch - t;
+  }
   fail_attempt(inst, fl, attempt, t);
 }
 

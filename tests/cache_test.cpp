@@ -261,10 +261,13 @@ TEST(CacheTest, ReplacementPolicyRandomIsDeterministic) {
 TEST(CacheTest, FastHitPathMatchesHostAccess) {
   // Twin controllers replay one stream: `fast` tries try_host_hit before
   // host_access, `slow` always takes host_access. Controller locks, AT
-  // destination ranges, pending events and busy lines make the fast path
-  // decline part of the time; timing, data and every piece of controller
-  // state must stay identical.
+  // destination ranges, pending events, busy lines and an armed host hook
+  // make the fast path decline part of the time; timing, data, hook calls
+  // and every piece of controller state must stay identical.
   Fixture fast, slow;
+  std::uint64_t fast_hook_calls = 0, slow_hook_calls = 0;
+  fast.llc.on_host_access = [&](Addr, unsigned, bool) { ++fast_hook_calls; };
+  slow.llc.on_host_access = [&](Addr, unsigned, bool) { ++slow_hook_calls; };
   workloads::Rng rng(0xFA57);
   const std::uint32_t line = fast.cfg.llc.line_bytes();
   const auto span = static_cast<std::int64_t>(3 * fast.llc.num_lines());
@@ -292,7 +295,11 @@ TEST(CacheTest, FastHitPathMatchesHostAccess) {
       const Cycle when = t + static_cast<Cycle>(rng.uniform(1, 20));
       fast.events.schedule(when, [] {});
       slow.events.schedule(when, [] {});
-    } else if (roll < 5) {
+    } else if (roll < 6) {
+      const bool armed = !fast.llc.host_hook_armed();
+      fast.llc.set_host_hook_armed(armed);
+      slow.llc.set_host_hook_armed(armed);
+    } else if (roll < 7) {
       if (claimed_uid != 0) {
         fast.llc.release_kernel_lines(claimed_uid);
         slow.llc.release_kernel_lines(claimed_uid);
@@ -329,6 +336,8 @@ TEST(CacheTest, FastHitPathMatchesHostAccess) {
   const auto& ss = slow.llc.stats();
   EXPECT_GT(fs.hits, 0u);
   EXPECT_GT(ss.stalls.lock + ss.stalls.at_dest, 0u);
+  EXPECT_GT(slow_hook_calls, 0u);
+  EXPECT_EQ(fast_hook_calls, slow_hook_calls);
   EXPECT_EQ(fs.reads, ss.reads);
   EXPECT_EQ(fs.writes, ss.writes);
   EXPECT_EQ(fs.hits, ss.hits);
